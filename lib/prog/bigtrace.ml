@@ -3,9 +3,12 @@
 
 type t = {
   events : Event.t array;
-  po_preds : int list array;
+  po_off : int array;
+  po_src : int array;
   dep_m1 : int array;
   dep_m2 : int array;
+  sync_ev : int array;
+  sync_op : int array;
   outcome : Trace.outcome;
   violations : int list;
   var_names : string array;
@@ -19,6 +22,19 @@ type t = {
 }
 
 let n_events t = Array.length t.events
+
+let po_preds t e =
+  let rec from k acc =
+    if k < t.po_off.(e) then acc else from (k - 1) (t.po_src.(k) :: acc)
+  in
+  from (t.po_off.(e + 1) - 1) []
+
+let po_pred_max t e =
+  let m = ref (-1) in
+  for k = t.po_off.(e) to t.po_off.(e + 1) - 1 do
+    m := max !m t.po_src.(k)
+  done;
+  !m
 
 (* ------------------------------------------------------------------ *)
 (* Dependence maxima                                                   *)
@@ -47,327 +63,304 @@ let dep_maxima ~num_vars events =
       end
       else if c > m2.(e) then m2.(e) <- c
   in
-  let push_toucher v e =
-    if t1.(v) <> e then begin
-      t2.(v) <- t1.(v);
-      t1.(v) <- e
-    end
+  let declared v = v >= 0 && v < num_vars in
+  (* A read depends on earlier writers; a write on earlier touchers. *)
+  let rec after_writers e = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then begin
+          consider e w1.(v);
+          consider e w2.(v)
+        end;
+        after_writers e rest
   in
-  Array.iteri
-    (fun e ev ->
-      (* A read depends on earlier writers; a write on earlier touchers. *)
-      List.iter
-        (fun v ->
-          if v >= 0 && v < num_vars then begin
-            consider e w1.(v);
-            consider e w2.(v)
-          end)
-        ev.Event.reads;
-      List.iter
-        (fun v ->
-          if v >= 0 && v < num_vars then begin
-            consider e t1.(v);
-            consider e t2.(v)
-          end)
-        ev.Event.writes;
-      List.iter
-        (fun v -> if v >= 0 && v < num_vars then push_toucher v e)
-        ev.Event.reads;
-      List.iter
-        (fun v ->
-          if v >= 0 && v < num_vars then begin
-            push_toucher v e;
-            if w1.(v) <> e then begin
-              w2.(v) <- w1.(v);
-              w1.(v) <- e
-            end
-          end)
-        ev.Event.writes)
-    events;
+  let rec after_touchers e = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then begin
+          consider e t1.(v);
+          consider e t2.(v)
+        end;
+        after_touchers e rest
+  in
+  let rec touch ~writes e = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then begin
+          if t1.(v) <> e then begin
+            t2.(v) <- t1.(v);
+            t1.(v) <- e
+          end;
+          if writes && w1.(v) <> e then begin
+            w2.(v) <- w1.(v);
+            w1.(v) <- e
+          end
+        end;
+        touch ~writes e rest
+  in
+  for e = 0 to n - 1 do
+    let ev = events.(e) in
+    after_writers e ev.Event.reads;
+    after_touchers e ev.Event.writes;
+    touch ~writes:false e ev.Event.reads;
+    touch ~writes:true e ev.Event.writes
+  done;
   (m1, m2)
 
 let dep_pred_max_excluding t ~event ~excluding =
   if t.dep_m1.(event) = excluding then t.dep_m2.(event) else t.dep_m1.(event)
 
-let po_pred_max t e = List.fold_left max (-1) t.po_preds.(e)
-
 (* ------------------------------------------------------------------ *)
-(* Conversions                                                         *)
+(* The replay column                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let finish_of_parts ~events ~po_edges ~outcome ~violations ~var_names
-    ~sem_names ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store
-    ~process_names =
-  let n = Array.length events in
-  let po_preds = Array.make n [] in
-  List.iter
-    (fun (a, b) ->
-      if a < 0 || a >= n || b < 0 || b >= n then
-        failwith "po edge out of range";
-      po_preds.(b) <- a :: po_preds.(b))
-    po_edges;
-  let dep_m1, dep_m2 = dep_maxima ~num_vars:(Array.length var_names) events in
-  {
+(* A synchronization step packed into one int: the semaphore or event
+   variable shifted past a 3-bit operation tag, [-1] for the kinds a
+   replay does nothing for (computation, fork, join).  A V on a binary
+   semaphore has its own tag, so replays never consult [sem_binary]. *)
+let sync_code sem_binary = function
+  | Event.Computation | Event.Sync (Event.Fork | Event.Join) -> -1
+  | Event.Sync (Event.Sem_p s) -> s lsl 3
+  | Event.Sync (Event.Sem_v s) -> (s lsl 3) lor if sem_binary.(s) then 2 else 1
+  | Event.Sync (Event.Post v) -> (v lsl 3) lor 3
+  | Event.Sync (Event.Wait v) -> (v lsl 3) lor 4
+  | Event.Sync (Event.Clear v) -> (v lsl 3) lor 5
+
+(* One replay step on the semaphore counts and event flags; [false]
+   when the operation is not enabled. *)
+let step sem ev code =
+  let x = code lsr 3 in
+  match code land 7 with
+  | 0 ->
+      sem.(x) > 0
+      && begin
+           sem.(x) <- sem.(x) - 1;
+           true
+         end
+  | 1 ->
+      sem.(x) <- sem.(x) + 1;
+      true
+  | 2 ->
+      sem.(x) <- 1;
+      true
+  | 3 ->
+      ev.(x) <- true;
+      true
+  | 4 -> ev.(x)
+  | _ ->
+      ev.(x) <- false;
+      true
+
+(* The events a replay acts on, in id order, with their packed steps. *)
+let sync_column ~sem_binary events =
+  let count = ref 0 in
+  Array.iter
+    (fun e -> if sync_code sem_binary e.Event.kind >= 0 then incr count)
     events;
-    po_preds;
+  let ids = Array.make !count 0 and codes = Array.make !count 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun id e ->
+      let code = sync_code sem_binary e.Event.kind in
+      if code >= 0 then begin
+        ids.(!k) <- id;
+        codes.(!k) <- code;
+        incr k
+      end)
+    events;
+  (ids, codes)
+
+(* ------------------------------------------------------------------ *)
+(* Assembly                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Program-order predecessors in compressed rows: the edges into [e]
+   are [po_src.(po_off.(e)) .. po_src.(po_off.(e + 1) - 1)], in the
+   order the edges are given. *)
+let rows n ~src ~dst =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun b -> off.(b) <- off.(b) + 1) dst;
+  for e = 1 to n do
+    off.(e) <- off.(e) + off.(e - 1)
+  done;
+  let preds = Array.make (Array.length src) 0 in
+  for k = Array.length src - 1 downto 0 do
+    let b = dst.(k) in
+    off.(b) <- off.(b) - 1;
+    preds.(off.(b)) <- src.(k)
+  done;
+  (off, preds)
+
+let of_parts (p : Trace_io.parts) =
+  let po_off, po_src =
+    rows (Array.length p.events) ~src:p.po_src ~dst:p.po_dst
+  in
+  let dep_m1, dep_m2 =
+    dep_maxima ~num_vars:(Array.length p.var_names) p.events
+  in
+  let sync_ev, sync_op = sync_column ~sem_binary:p.sem_binary p.events in
+  {
+    events = p.events;
+    po_off;
+    po_src;
     dep_m1;
     dep_m2;
-    outcome;
-    violations;
-    var_names;
-    sem_names;
-    ev_names;
-    sem_init;
-    sem_binary;
-    ev_init;
-    final_store;
-    process_names;
+    sync_ev;
+    sync_op;
+    outcome = p.outcome;
+    violations = p.violations;
+    var_names = p.var_names;
+    sem_names = p.sem_names;
+    ev_names = p.ev_names;
+    sem_init = p.sem_init;
+    sem_binary = p.sem_binary;
+    ev_init = p.ev_init;
+    final_store = p.final_store;
+    process_names = p.process_names;
   }
 
-let make ~events ~po_edges ~outcome ~violations ~var_names ~sem_names
-    ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store ~process_names =
-  finish_of_parts ~events ~po_edges ~outcome ~violations ~var_names ~sem_names
-    ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store ~process_names
+let of_trace tr = of_parts (Trace_io.parts_of_trace tr)
+let read path = of_parts (Trace_io.read_parts path)
 
-let of_trace (tr : Trace.t) =
-  let po_edges = ref [] in
-  Rel.iter (fun a b -> po_edges := (a, b) :: !po_edges) tr.Trace.program_order;
-  finish_of_parts ~events:tr.Trace.events ~po_edges:!po_edges
-    ~outcome:tr.Trace.outcome ~violations:tr.Trace.violations
-    ~var_names:tr.Trace.var_names ~sem_names:tr.Trace.sem_names
-    ~ev_names:tr.Trace.ev_names ~sem_init:tr.Trace.sem_init
-    ~sem_binary:tr.Trace.sem_binary ~ev_init:tr.Trace.ev_init
-    ~final_store:tr.Trace.final_store ~process_names:tr.Trace.process_names
-
-let to_trace t =
-  let n = n_events t in
-  let pairs = ref [] in
-  Array.iteri
-    (fun b preds -> List.iter (fun a -> pairs := (a, b) :: !pairs) preds)
-    t.po_preds;
+(* The contents of [t], each event's predecessors listed from the end of
+   its row: the order [save] has always written them in. *)
+let to_parts t =
+  let m = Array.length t.po_src in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let k = ref 0 in
+  for b = 0 to n_events t - 1 do
+    for j = t.po_off.(b + 1) - 1 downto t.po_off.(b) do
+      src.(!k) <- t.po_src.(j);
+      dst.(!k) <- b;
+      incr k
+    done
+  done;
   {
-    Trace.events = t.events;
-    program_order = Rel.of_pairs n !pairs;
+    Trace_io.events = t.events;
+    po_src = src;
+    po_dst = dst;
     outcome = t.outcome;
     violations = t.violations;
     var_names = t.var_names;
     sem_names = t.sem_names;
+    sem_binary = t.sem_binary;
     ev_names = t.ev_names;
     sem_init = t.sem_init;
-    sem_binary = t.sem_binary;
     ev_init = t.ev_init;
     final_store = t.final_store;
     process_names = t.process_names;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Streaming I/O                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let read path =
-  let outcome = ref None in
-  let var_names = ref [||] in
-  let sem_names = ref [||] in
-  let sem_binary = ref [||] in
-  let ev_names = ref [||] in
-  let sem_init = ref [||] in
-  let ev_init = ref [||] in
-  let processes = ref [] in
-  let events = ref [] in
-  let po_edges = ref [] in
-  let violations = ref [] in
-  let final = ref [] in
-  let saw_header = ref false in
-  Trace_io.fold_lines path
-    (fun () ~lineno line ->
-      match Trace_io.parse_line ~lineno line with
-      | Trace_io.D_blank -> ()
-      | Trace_io.D_header -> saw_header := true
-      | Trace_io.D_outcome o -> outcome := Some o
-      | Trace_io.D_vars names -> var_names := names
-      | Trace_io.D_sems (names, binary) ->
-          sem_names := names;
-          sem_binary := binary
-      | Trace_io.D_events names -> ev_names := names
-      | Trace_io.D_sem_init values -> sem_init := values
-      | Trace_io.D_ev_init values -> ev_init := values
-      | Trace_io.D_process (pid, name) ->
-          processes := (pid, name) :: !processes
-      | Trace_io.D_event e -> events := e :: !events
-      | Trace_io.D_po (a, b) -> po_edges := (a, b) :: !po_edges
-      | Trace_io.D_violation e -> violations := e :: !violations
-      | Trace_io.D_final (x, v) -> final := (x, v) :: !final)
-    ();
-  if not !saw_header then failwith "missing 'eotrace 1' header";
-  let events =
-    List.sort (fun a b -> compare a.Event.id b.Event.id) !events
-    |> Array.of_list
-  in
-  Array.iteri
-    (fun i e ->
-      if e.Event.id <> i then failwith "event ids are not dense from 0")
-    events;
-  if Array.length !sem_binary <> Array.length !sem_names then
-    sem_binary := Array.make (Array.length !sem_names) false;
-  finish_of_parts ~events ~po_edges:!po_edges
-    ~outcome:
-      (match !outcome with
-      | Some o -> o
-      | None -> failwith "missing outcome line")
-    ~violations:(List.rev !violations) ~var_names:!var_names
-    ~sem_names:!sem_names ~ev_names:!ev_names ~sem_init:!sem_init
-    ~sem_binary:!sem_binary ~ev_init:!ev_init
-    ~final_store:(List.rev !final) ~process_names:(List.rev !processes)
-
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let line fmt = Printf.ksprintf (fun s -> output_string oc (s ^ "\n")) fmt in
-      line "eotrace 1";
-      (match t.outcome with
-      | Trace.Completed -> line "outcome completed"
-      | Trace.Fuel_exhausted -> line "outcome fuel_exhausted"
-      | Trace.Deadlocked pids ->
-          line "outcome deadlocked %s"
-            (String.concat " " (List.map string_of_int pids)));
-      line "vars %s" (String.concat " " (Array.to_list t.var_names));
-      line "sems %s"
-        (String.concat " "
-           (List.mapi
-              (fun i name -> if t.sem_binary.(i) then name ^ "*" else name)
-              (Array.to_list t.sem_names)));
-      line "events %s" (String.concat " " (Array.to_list t.ev_names));
-      line "sem_init %s"
-        (String.concat " " (List.map string_of_int (Array.to_list t.sem_init)));
-      line "ev_init %s"
-        (String.concat " "
-           (List.map (fun v -> if v then "1" else "0")
-              (Array.to_list t.ev_init)));
-      List.iter (fun (pid, name) -> line "process %d %s" pid name)
-        t.process_names;
-      Array.iter
-        (fun e ->
-          line "event %d %d %d %s %s reads %s writes %s" e.Event.id e.Event.pid
-            e.Event.seq
-            (String.concat " " (Trace_io.kind_tokens e.Event.kind))
-            (Trace_io.quote e.Event.label)
-            (String.concat " " (List.map string_of_int e.Event.reads))
-            (String.concat " " (List.map string_of_int e.Event.writes)))
-        t.events;
-      Array.iteri
-        (fun b preds ->
-          List.iter (fun a -> line "po %d %d" a b) (List.rev preds))
-        t.po_preds;
-      List.iter (fun e -> line "violation %d" e) t.violations;
-      List.iter (fun (x, v) -> line "final %s %d" x v) t.final_store)
+let to_trace t = Trace_io.trace_of_parts (to_parts t)
+let save path t = Trace_io.save_parts path (to_parts t)
 
 (* ------------------------------------------------------------------ *)
 (* Race candidates                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Cap_hit
-
-let conflicting_pairs ?(max_candidates = max_int) t =
+let conflicting_pairs t =
+  let events = t.events in
+  let n = Array.length events in
   let num_vars = Array.length t.var_names in
-  let pairs : (int * int, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  let count = ref 0 in
-  let truncated = ref false in
+  (* Every conflict found, in discovery order: the pair packed as
+     [a * n + b] with [a < b] (ids stay far below 2^31), and the
+     variable. *)
+  let keys = ref (Array.make 1024 0) and vars = ref (Array.make 1024 0) in
+  let m = ref 0 in
   let add a b v =
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt pairs key with
-    | Some vars -> vars := v :: !vars
-    | None ->
-        if !count >= max_candidates then begin
-          truncated := true;
-          raise Cap_hit
-        end;
-        incr count;
-        Hashtbl.add pairs key (ref [ v ])
+    if !m = Array.length !keys then begin
+      let grow old = Array.append old (Array.make (Array.length old) 0) in
+      keys := grow !keys;
+      vars := grow !vars
+    end;
+    !keys.(!m) <- (a * n) + b;
+    !vars.(!m) <- v;
+    incr m
   in
-  (* Per variable, computation touches seen so far (id order). *)
+  (* Per variable, the computation events that read or wrote it so
+     far, latest first. *)
   let writers = Array.make num_vars [] in
   let readers = Array.make num_vars [] in
-  (try
-     Array.iteri
-       (fun e ev ->
-         if Event.is_computation ev then begin
-           let pid = ev.Event.pid in
-           List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 List.iter
-                   (fun (w, wpid) -> if wpid <> pid then add w e v)
-                   writers.(v))
-             ev.Event.reads;
-           List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then begin
-                 List.iter
-                   (fun (w, wpid) -> if wpid <> pid then add w e v)
-                   writers.(v);
-                 List.iter
-                   (fun (r, rpid) -> if rpid <> pid then add r e v)
-                   readers.(v)
-               end)
-             ev.Event.writes;
-           List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 readers.(v) <- (e, pid) :: readers.(v))
-             ev.Event.reads;
-           List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 writers.(v) <- (e, pid) :: writers.(v))
-             ev.Event.writes
-         end)
-       t.events
-   with Cap_hit -> ());
-  let out =
-    Hashtbl.fold
-      (fun (a, b) vars acc ->
-        (a, b, List.sort_uniq compare !vars) :: acc)
-      pairs []
+  let declared v = v >= 0 && v < num_vars in
+  let rec against e pid v = function
+    | [] -> ()
+    | w :: rest ->
+        if events.(w).Event.pid <> pid then add w e v;
+        against e pid v rest
   in
-  (List.sort compare out, !truncated)
+  let rec reads e pid = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then against e pid v writers.(v);
+        reads e pid rest
+  in
+  let rec writes e pid = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then begin
+          against e pid v writers.(v);
+          against e pid v readers.(v)
+        end;
+        writes e pid rest
+  in
+  let rec record touched e = function
+    | [] -> ()
+    | v :: rest ->
+        if declared v then touched.(v) <- e :: touched.(v);
+        record touched e rest
+  in
+  for e = 0 to n - 1 do
+    let ev = events.(e) in
+    if Event.is_computation ev then begin
+      reads e ev.Event.pid ev.Event.reads;
+      writes e ev.Event.pid ev.Event.writes;
+      record readers e ev.Event.reads;
+      record writers e ev.Event.writes
+    end
+  done;
+  let keys = !keys and vars = !vars in
+  let order = Array.init !m Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let c = Int.compare keys.(i) keys.(j) in
+      if c <> 0 then c else Int.compare vars.(i) vars.(j))
+    order;
+  (* One triple per distinct key, built back to front so the list comes
+     out sorted, each variable list ascending and duplicate-free. *)
+  let out = ref [] in
+  let i = ref (!m - 1) in
+  while !i >= 0 do
+    let key = keys.(order.(!i)) in
+    let vs = ref [] in
+    while !i >= 0 && keys.(order.(!i)) = key do
+      let v = vars.(order.(!i)) in
+      (match !vs with w :: _ when w = v -> () | _ -> vs := v :: !vs);
+      decr i
+    done;
+    out := (key / n, key mod n, !vs) :: !out
+  done;
+  !out
 
 (* ------------------------------------------------------------------ *)
 (* Replay certification                                                *)
 (* ------------------------------------------------------------------ *)
 
-exception Blocked
-
-let sync_step t sem ev e =
-  match t.events.(e).Event.kind with
-  | Event.Computation | Event.Sync (Event.Fork | Event.Join) -> ()
-  | Event.Sync (Event.Sem_p s) ->
-      if sem.(s) <= 0 then raise Blocked;
-      sem.(s) <- sem.(s) - 1
-  | Event.Sync (Event.Sem_v s) ->
-      if t.sem_binary.(s) then sem.(s) <- 1 else sem.(s) <- sem.(s) + 1
-  | Event.Sync (Event.Post v) -> ev.(v) <- true
-  | Event.Sync (Event.Wait v) -> if not ev.(v) then raise Blocked
-  | Event.Sync (Event.Clear v) -> ev.(v) <- false
-
 let observed_replays t =
-  let sem = Array.copy t.sem_init in
-  let ev = Array.copy t.ev_init in
-  let n = n_events t in
   (* Precedence is forward by construction (ids are in observed order
-     and [finish_of_parts] builds dependence maxima the same way), so
-     the synchronization state is the only thing left to check. *)
-  try
-    let ok = ref true in
-    for b = 0 to n - 1 do
-      ok := !ok && po_pred_max t b < b
-    done;
-    for e = 0 to n - 1 do
-      sync_step t sem ev e
-    done;
-    !ok
-  with Blocked -> false
+     and [dep_maxima] builds dependence maxima the same way), so the
+     program-order edges and the synchronization state are all there is
+     to check. *)
+  let forward = ref true in
+  for b = 0 to n_events t - 1 do
+    if po_pred_max t b >= b then forward := false
+  done;
+  let sem = Array.copy t.sem_init and ev = Array.copy t.ev_init in
+  let ok = ref !forward and i = ref 0 in
+  while !ok && !i < Array.length t.sync_ev do
+    ok := step sem ev t.sync_op.(!i);
+    incr i
+  done;
+  !ok
 
 let certify_swap t a b =
   (* Replay the observed schedule with [b] hoisted to run back-to-back
@@ -375,21 +368,27 @@ let certify_swap t a b =
      [a], then the rest in observed order.  Both pair events are
      computations, so only synchronization enabledness can differ — and
      it cannot, but this runs the actual certificate schedule rather
-     than trusting the argument. *)
+     than trusting the argument.  Steps that change no state
+     (computation, fork, join) are the only ones not visited. *)
   let n = n_events t in
   if a < 0 || b < 0 || a >= n || b >= n || a = b then false
   else
-    let lo, hi = if a < b then (a, b) else (b, a) in
-    let sem = Array.copy t.sem_init in
-    let ev = Array.copy t.ev_init in
-    try
-      for e = 0 to lo - 1 do
-        sync_step t sem ev e
-      done;
-      sync_step t sem ev hi;
-      sync_step t sem ev lo;
-      for e = lo + 1 to n - 1 do
-        if e <> hi then sync_step t sem ev e
-      done;
-      true
-    with Blocked -> false
+    let lo = min a b and hi = max a b in
+    let sem = Array.copy t.sem_init and ev = Array.copy t.ev_init in
+    let ids = t.sync_ev and codes = t.sync_op in
+    let run e =
+      let code = sync_code t.sem_binary t.events.(e).Event.kind in
+      code < 0 || step sem ev code
+    in
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length ids && ids.(!i) < lo do
+      ok := step sem ev codes.(!i);
+      incr i
+    done;
+    ok := !ok && run hi && run lo;
+    while !ok && !i < Array.length ids do
+      let e = ids.(!i) in
+      if e <> lo && e <> hi then ok := step sem ev codes.(!i);
+      incr i
+    done;
+    !ok

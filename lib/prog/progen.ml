@@ -189,16 +189,23 @@ let emit ?(extra_po = []) ?(reads = []) ?(writes = []) em pid kind label =
   id
 
 let finish_emitter em =
-  Bigtrace.make
-    ~events:(Array.of_list (List.rev em.ev_rev))
-    ~po_edges:em.po_rev ~outcome:Trace.Completed ~violations:[]
-    ~var_names:(Array.of_list (List.rev em.vars_rev))
-    ~sem_names:(Array.of_list (List.rev em.sems_rev))
-    ~ev_names:(Array.of_list (List.rev em.evars_rev))
-    ~sem_init:(Array.of_list (List.rev em.sem_init_rev))
-    ~sem_binary:(Array.make em.nsems false)
-    ~ev_init:(Array.of_list (List.rev em.ev_init_rev))
-    ~final_store:[] ~process_names:(List.rev em.procs_rev)
+  let po = Array.of_list (List.rev em.po_rev) in
+  Bigtrace.of_parts
+    {
+      Trace_io.events = Array.of_list (List.rev em.ev_rev);
+      po_src = Array.map fst po;
+      po_dst = Array.map snd po;
+      outcome = Trace.Completed;
+      violations = [];
+      var_names = Array.of_list (List.rev em.vars_rev);
+      sem_names = Array.of_list (List.rev em.sems_rev);
+      sem_binary = Array.make em.nsems false;
+      ev_names = Array.of_list (List.rev em.evars_rev);
+      sem_init = Array.of_list (List.rev em.sem_init_rev);
+      ev_init = Array.of_list (List.rev em.ev_init_rev);
+      final_store = [];
+      process_names = List.rev em.procs_rev;
+    }
 
 (* Pad with independent single-writer events so the trace hits the
    requested event count exactly. *)

@@ -175,7 +175,7 @@ type big_report = {
 }
 
 let races_big ?(stats = Counters.null) ?(budget = Budget.unlimited)
-    ?(max_candidates = max_int) ?(jobs = 1) ?(queries = []) (t : Bigtrace.t) =
+    ?(jobs = 1) ?(queries = []) (t : Bigtrace.t) =
   Counters.time stats Counters.T_total @@ fun () ->
   let events = Bigtrace.n_events t in
   let observed_feasible = Bigtrace.observed_replays t in
@@ -190,8 +190,8 @@ let races_big ?(stats = Counters.null) ?(budget = Budget.unlimited)
       List.filter
         (fun p ->
           Memmodel.enforced model t.Bigtrace.events.(p) t.Bigtrace.events.(e))
-        t.Bigtrace.po_preds.(e)
-    else fun e -> t.Bigtrace.po_preds.(e)
+        (Bigtrace.po_preds t e)
+    else Bigtrace.po_preds t
   in
   let clock =
     Order_clock.build
@@ -228,8 +228,7 @@ let races_big ?(stats = Counters.null) ?(budget = Budget.unlimited)
     { q_rel; q_a; q_b; q_verdict }
   in
   let answers = List.map answer queries in
-  let pairs, capped = Bigtrace.conflicting_pairs ~max_candidates t in
-  let pairs = Array.of_list pairs in
+  let pairs = Array.of_list (Bigtrace.conflicting_pairs t) in
   let n_pairs = Array.length pairs in
   (* Candidate triage shards across worker domains: contiguous chunks,
      one per worker, merged in chunk order — per-candidate counter
@@ -288,7 +287,7 @@ let races_big ?(stats = Counters.null) ?(budget = Budget.unlimited)
   {
     events;
     candidates = n_pairs;
-    truncated = capped || !budget_hit;
+    truncated = !budget_hit;
     observed_feasible;
     races = List.rev !races;
     refuted = !refuted;

@@ -62,7 +62,7 @@ type stream_answer = {
 type big_report = {
   events : int;
   candidates : int;  (** conflicting cross-process computation pairs *)
-  truncated : bool;  (** candidate cap or budget hit — a partial answer *)
+  truncated : bool;  (** budget hit — a partial answer *)
   observed_feasible : bool;  (** did the observed schedule replay? *)
   races : (int * int * int list) list;
       (** certified races, [(earlier id, later id, variables)], sorted *)
@@ -78,7 +78,6 @@ type big_report = {
 val races_big :
   ?stats:Counters.t ->
   ?budget:Budget.t ->
-  ?max_candidates:int ->
   ?jobs:int ->
   ?queries:(stream_relation * int * int) list ->
   Bigtrace.t ->

@@ -82,6 +82,229 @@ let prop_random_roundtrip =
     Gen_progs.arbitrary_program (fun prog ->
       roundtrip (Interp.run prog))
 
+(* ------------------------------------------------------------------ *)
+(* The in-place scanner against the list-tokenizer oracle, and the
+   readers against mutated input. *)
+
+let outcome f = match f () with v -> Ok v | exception Failure m -> Error m
+
+let same_as_oracle ~lineno line =
+  outcome (fun () -> Trace_io.parse_line ~lineno line)
+  = outcome (fun () -> Trace_io_oracle.parse_line ~lineno line)
+
+(* Lines at the grammar's corners: comments against quotes, escapes,
+   tabs, quoted keywords, operand counts, signs and integers at and
+   past the 63-bit range. *)
+let tricky_lines =
+  [
+    "";
+    "   ";
+    "# only a comment";
+    "eotrace 1";
+    "eotrace 1 # trailing comment";
+    "eotrace\t1";
+    "\teotrace 1\t";
+    "eotrace \"1\"";
+    "eotrace 1 2";
+    "outcome completed extra";
+    "outcome fuel_exhausted";
+    "outcome deadlocked";
+    "outcome deadlocked 1 -2 +3";
+    "outcome deadlocked 1 x";
+    "vars \"a b\" c";
+    "sems s* * \"\" t**";
+    "ev_init 1 0 \"1\" 01";
+    "sem_init 1 0x1f 1_000 -0";
+    "sem_init 4611686018427387903 -4611686018427387904";
+    "sem_init 4611686018427387904";
+    "sem_init 9999999999999999999";
+    "event 0 0 0 sem_p";
+    "event 0 0 0 sem_p x \"l\" reads writes";
+    "event 0 0 0 computation \"l\" reads 1 2 writes 3";
+    "event 0 0 0 computation \"a\\\"b\\\\c\\n\" reads writes";
+    "event a b c computation \"l\" reads writes";
+    "event 0 0";
+    "event 0 0 0 zap \"l\" reads writes";
+    "event 0 0 0 computation";
+    "event 0 0 0 computation \"l\"";
+    "event 0 0 0 computation \"l\" reads 1 x writes";
+    "event 0 0 0 computation \"l\" reads 1 2";
+    "event 0 0 0 computation \"l\" writes";
+    "event 0 0 0 computation \"l\"x reads writes";
+    "event 0 0 0 fork \"#\" reads writes";
+    "\"event\" 0 0 0 computation l \"reads\" \"writes\"";
+    "event 0 0 0 computation \"unterminated";
+    "event x 0 0 computation \"unterminated";
+    "event 0 0 0 computation \"l\\";
+    "x \"abc";
+    "po 1 2";
+    "po 1 2 3";
+    "po a b";
+    "po 1 2 # x";
+    "po 1 2 # \"x\"";
+    "po\t1 2";
+    "process 0 \"a name\"";
+    "process x";
+    "violation 3";
+    "violation";
+    "final x 9999999999999999999";
+    "final x y";
+    "bogus 1";
+  ]
+
+let test_scanner_matches_oracle () =
+  List.iteri
+    (fun i line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S" line)
+        true
+        (same_as_oracle ~lineno:(i + 1) line))
+    tricky_lines
+
+(* Byte edits drawn from the same corners, and renumberings that point
+   ids, operands and variables past what the trace declares. *)
+type edit =
+  | Insert of int * string
+  | Replace of int * string
+  | Delete of int
+  | Renumber of int * int  (** the [k]-th run of digits becomes [v] *)
+
+let pieces =
+  [ "#"; "\""; "\\"; "\t"; " "; "-"; "+"; "_"; "*"; "1"; "0x1f"; "\\n";
+    "9999999999999999999"; "4611686018427387903"; "4611686018427387904";
+    "-4611686018427387904"; "reads"; "writes"; "  \t " ]
+
+let edit_gen =
+  QCheck.Gen.(
+    let pos = int_bound 200 and piece = oneofl pieces in
+    frequency
+      [
+        (3, map2 (fun p s -> Insert (p, s)) pos piece);
+        (3, map2 (fun p s -> Replace (p, s)) pos piece);
+        (2, map (fun p -> Delete p) pos);
+        ( 4,
+          map2
+            (fun k v -> Renumber (k, v))
+            (int_bound 20)
+            (oneofl [ -1; 0; 1; 2; 3; 7; 12; 40 ]) );
+      ])
+
+let apply_edit line edit =
+  let n = String.length line in
+  let splice p cut s =
+    String.sub line 0 p ^ s ^ String.sub line (p + cut) (n - p - cut)
+  in
+  let is_digit i = line.[i] >= '0' && line.[i] <= '9' in
+  let rec runs i acc =
+    if i >= n then List.rev acc
+    else if is_digit i && (i = 0 || not (is_digit (i - 1))) then begin
+      let j = ref i in
+      while !j < n && is_digit !j do incr j done;
+      runs !j ((i, !j - i) :: acc)
+    end
+    else runs (i + 1) acc
+  in
+  match edit with
+  | Insert (p, s) -> splice (p mod (n + 1)) 0 s
+  | Replace (p, s) when n > 0 -> splice (p mod n) 1 s
+  | Delete p when n > 0 -> splice (p mod n) 1 ""
+  | Renumber (k, v) -> (
+      match runs 0 [] with
+      | [] -> line
+      | found ->
+          let p, len = List.nth found (k mod List.length found) in
+          splice p len (string_of_int v))
+  | Replace _ | Delete _ -> line
+
+let trace_lines prog =
+  String.split_on_char '\n' (Trace_io.to_string (Interp.run prog))
+
+let arbitrary_mutated_lines =
+  QCheck.make
+    ~print:(fun lines -> String.concat "\n" (List.map (Printf.sprintf "%S") lines))
+    QCheck.Gen.(
+      Gen_progs.program_gen >>= fun prog ->
+      flatten_l
+        (List.map
+           (fun line ->
+             list_size (int_bound 3) edit_gen >|= fun edits ->
+             List.fold_left apply_edit line edits)
+           (trace_lines prog)))
+
+let prop_scanner_matches_oracle =
+  QCheck.Test.make
+    ~name:"parse_line = the list-tokenizer oracle on mutated trace lines"
+    ~count:300 arbitrary_mutated_lines (fun lines ->
+      List.for_all Fun.id
+        (List.mapi (fun i line -> same_as_oracle ~lineno:(i + 1) line) lines))
+
+(* Whole traces with a few lines edited, dropped or repeated. *)
+let arbitrary_mutated_trace =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      Gen_progs.program_gen >>= fun prog ->
+      let lines = Array.of_list (trace_lines prog) in
+      let line_edit =
+        frequency
+          [
+            ( 6,
+              map2
+                (fun i edits lines ->
+                  let i = i mod Array.length lines in
+                  lines.(i) <- List.fold_left apply_edit lines.(i) edits;
+                  lines)
+                (int_bound 1000)
+                (list_size (int_range 1 2) edit_gen) );
+            ( 1,
+              map
+                (fun i lines ->
+                  let i = i mod Array.length lines in
+                  Array.append (Array.sub lines 0 i)
+                    (Array.sub lines (i + 1) (Array.length lines - i - 1)))
+                (int_bound 1000) );
+            ( 1,
+              map
+                (fun i lines ->
+                  let i = i mod Array.length lines in
+                  Array.append lines [| lines.(i) |])
+                (int_bound 1000) );
+          ]
+      in
+      list_size (int_range 1 2) line_edit >|= fun edits ->
+      String.concat "\n"
+        (Array.to_list (List.fold_left (fun ls f -> f ls) lines edits)))
+
+let with_temp_file content f =
+  let path = Filename.temp_file "eo_trace_io_test" ".eotrace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc content;
+      close_out oc;
+      f path)
+
+let prop_readers_fail_typed =
+  QCheck.Test.make
+    ~name:"mutated traces: readers agree, fail with Failure or analyse"
+    ~count:1000 arbitrary_mutated_trace (fun text ->
+      let from_string = outcome (fun () -> Trace_io.of_string text) in
+      with_temp_file text (fun path ->
+          match
+            ( from_string,
+              outcome (fun () -> Trace_io.load path),
+              outcome (fun () -> Bigtrace.read path) )
+          with
+          | Error m, Error m', Error m'' -> m = m' && m' = m''
+          | Ok tr, Ok tr', Ok big ->
+              let x = Trace.to_execution tr in
+              ignore (Relations.compute (Skeleton.of_execution x));
+              ignore (Triage.races_big big);
+              tr'.Trace.events = tr.Trace.events
+              && Rel.equal tr'.Trace.program_order tr.Trace.program_order
+              && Bigtrace.to_trace big = tr'
+          | _ -> false))
+
 let suite =
   [
     Alcotest.test_case "fixture roundtrips" `Quick test_roundtrip_fixtures;
@@ -95,5 +318,21 @@ let suite =
       "eotrace 1\noutcome completed\nevent 0 0 0 zap \"l\" reads writes\n";
     expect_failure "non-dense ids"
       "eotrace 1\noutcome completed\nevent 1 0 0 computation \"l\" reads writes\n";
+    expect_failure "po edge past the last event"
+      "eotrace 1\noutcome completed\nevent 0 0 0 computation \"l\" reads writes\npo 0 1\n";
+    expect_failure "undeclared semaphore"
+      "eotrace 1\noutcome completed\nsems s\nsem_init 0\nevent 0 0 0 sem_p 7 \"P\" reads writes\n";
+    expect_failure "undeclared event variable"
+      "eotrace 1\noutcome completed\nevent 0 0 0 wait 0 \"W\" reads writes\n";
+    expect_failure "sem_init shorter than sems"
+      "eotrace 1\noutcome completed\nsems s t\nsem_init 0\n";
+    expect_failure "ev_init shorter than events"
+      "eotrace 1\noutcome completed\nevents e\n";
+    expect_failure "undeclared variable"
+      "eotrace 1\noutcome completed\nvars x\nevent 0 0 0 computation \"l\" reads 1 writes\n";
     qcheck prop_random_roundtrip;
+    Alcotest.test_case "scanner = oracle on tricky lines" `Quick
+      test_scanner_matches_oracle;
+    qcheck prop_scanner_matches_oracle;
+    qcheck prop_readers_fail_typed;
   ]

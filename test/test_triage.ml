@@ -329,6 +329,107 @@ let test_generated_families_triage_clean () =
         (List.length r.Triage.races))
     [ Progen.Pc_mesh; Progen.Server_logs; Progen.Fork_join ]
 
+(* The streaming path against the exact engine, on traces small enough
+   to decide every candidate exactly: the same candidates with the same
+   variables, every certified race a feasible race, and no refuted pair
+   one.  A candidate counts as refuted when the streaming must-before
+   query orders it either way — the forced-order clock, which is what
+   refutes it in the report. *)
+let streaming_matches_exact tr =
+  let x = Trace.to_execution tr in
+  let big = Bigtrace.of_trace tr in
+  let candidates = Bigtrace.conflicting_pairs big in
+  let queries =
+    List.concat_map
+      (fun (a, b, _) -> [ (Triage.S_mhb, a, b); (Triage.S_mhb, b, a) ])
+      candidates
+  in
+  let r = Triage.races_big ~queries big in
+  let rec refuted candidates answers =
+    match (candidates, answers) with
+    | (a, b, _) :: cs, ab :: ba :: rest ->
+        let later = refuted cs rest in
+        if ab.Triage.q_verdict = Some true || ba.Triage.q_verdict = Some true
+        then (a, b) :: later
+        else later
+    | _ -> []
+  in
+  let refuted = refuted candidates r.Triage.answers in
+  let feasible =
+    List.map (fun rc -> (rc.Race.e1, rc.Race.e2)) (Race.feasible_races x)
+  in
+  candidates
+  = List.map
+      (fun rc -> (rc.Race.e1, rc.Race.e2, rc.Race.variables))
+      (Race.conflicting_pairs x)
+  && List.length refuted = r.Triage.refuted
+  && r.Triage.refuted + r.Triage.certified + r.Triage.undecided
+     = r.Triage.candidates
+  && List.for_all (fun (a, b, _) -> List.mem (a, b) feasible) r.Triage.races
+  && not (List.exists (fun p -> List.mem p feasible) refuted)
+
+(* A conflicting pair handed over through a 0-initialised semaphore with
+   a single V, amid random filler: the clock refutes the handover pair,
+   the filler brings races of its own. *)
+let handover_gen =
+  QCheck.Gen.(
+    let filler =
+      list_size (int_bound 2)
+        (oneofl
+           [
+             Ast.Assign ("x", Expr.Int 1);
+             Ast.Assign ("y", Expr.Var "x");
+             Ast.Assign ("z", Expr.Int 7);
+             Ast.Post "e";
+             Ast.Wait "e";
+             Ast.Skip None;
+           ])
+    in
+    let conflicting =
+      oneofl [ Ast.Assign ("x", Expr.Int 2); Ast.Assign ("y", Expr.Var "x") ]
+    in
+    filler >>= fun f1 ->
+    filler >>= fun f2 ->
+    filler >>= fun f3 ->
+    conflicting >>= fun c ->
+    bool >|= fun ev_init ->
+    Ast.program ~sem_init:[ ("s", 0) ] ~ev_init:[ ("e", ev_init) ]
+      [
+        Ast.proc "producer"
+          (f1 @ [ Ast.Assign ("x", Expr.Int 1); Ast.Sem_v "s" ] @ f2);
+        Ast.proc "consumer" ([ Ast.Sem_p "s"; c ] @ f3);
+      ])
+
+let prop_streaming_matches_exact =
+  QCheck.Test.make ~name:"races_big agrees with the exact race engine"
+    ~count:200
+    (QCheck.make ~print:Gen_progs.print_program
+       (QCheck.Gen.oneof [ Gen_progs.program_gen; handover_gen ]))
+    (fun prog ->
+      match Gen_progs.completed_trace prog with
+      | Some tr when Trace.n_events tr <= 12 -> streaming_matches_exact tr
+      | _ -> true)
+
+(* Progen programs bring several semaphores and event variables, so the
+   forced-order clock refutes candidates there too. *)
+let prop_streaming_matches_exact_progen =
+  QCheck.Test.make
+    ~name:"races_big agrees with the exact race engine (Progen programs)"
+    ~count:150 QCheck.small_nat (fun seed ->
+      let cfg =
+        {
+          Progen.default_config with
+          processes = (2, 3);
+          stmts_per_process = (2, 4);
+          semaphores = 1 + (seed mod 2);
+          event_variables = 1;
+        }
+      in
+      match Progen.generate_completing ~seed cfg with
+      | tr when Trace.n_events tr <= 12 -> streaming_matches_exact tr
+      | _ -> true
+      | exception Failure _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Budget slicing: a starved tier escalates (counted, answer unchanged);
    a dead session budget degrades every primitive in its sound
@@ -432,6 +533,8 @@ let suite =
       test_bigtrace_save_read;
     Alcotest.test_case "generated families triage clean" `Quick
       test_generated_families_triage_clean;
+    qcheck prop_streaming_matches_exact;
+    qcheck prop_streaming_matches_exact_progen;
     Alcotest.test_case "starved tier escalates, answer unchanged" `Quick
       test_starved_tier_escalates_not_degrades;
     Alcotest.test_case "starved tiers stay exact in sessions" `Quick
