@@ -318,6 +318,14 @@ let load_trace ?(json = false) path policy =
       note "note: fuel exhausted; analysing the recorded prefix@.");
   trace
 
+(* Apparent and first races, the observed width and the parallelism
+   profile are read off the recorded schedule, so a trace recording a
+   schedule its own synchronization forbids is refused up front, as a
+   typed parse error, before any of them is built. *)
+let check_recorded ?(json = false) sk trace =
+  try Replay.require sk (Trace.schedule trace)
+  with Replay.Not_replayable msg -> die_error ~code:Api.Parse ~json "%s" msg
+
 let guard_size ?(json = false) trace max_events =
   let n = Trace.n_events trace in
   if n > max_events then
@@ -351,6 +359,7 @@ let analyze_cmd =
     guard_size ~json trace max_events;
     let x = Trace.to_execution trace in
     let sk = Skeleton.of_execution x in
+    check_recorded ~json sk trace;
     let stats = make_stats collect in
     (* One session answers everything this command prints.  The reduced
        engine ignores --limit (its class walk is exact), matching the
@@ -724,8 +733,6 @@ let races_cmd =
     let trace = load_trace ~json file policy in
     guard_size ~json trace max_events;
     let x = Trace.to_execution trace in
-    let candidates = Race.conflicting_pairs x in
-    let apparent = Race.apparent_races x in
     let stats = make_stats collect in
     (* One session serves both race sets: the first-race refinement reuses
        the feasible set through the session cache instead of re-deciding
@@ -734,6 +741,9 @@ let races_cmd =
       Session.of_execution ?limit ~jobs ?stats ~budget
         ~cache:(resolve_cache cache) x
     in
+    check_recorded ~json (Session.skeleton session) trace;
+    let candidates = Race.conflicting_pairs x in
+    let apparent = Race.apparent_races x in
     let feasible = Race.feasible_races_session session in
     let first = Race.first_races_session session in
     let witnesses =
@@ -1112,6 +1122,7 @@ let report_cmd =
     guard_size trace max_events;
     let x = Trace.to_execution trace in
     let sk = Skeleton.of_execution x in
+    check_recorded sk trace;
     let n = Trace.n_events trace in
     (* Every section below draws on one session: one reachability memo,
        one class-level summary, one (cached) race set. *)

@@ -157,10 +157,12 @@ let answers session trace x queries =
           entry q
             (Race.feasible_races_session_outcome session)
             (fun r -> Race_list r)
-      | First ->
-          entry q
-            (Race.first_races_session_outcome session)
-            (fun r -> Race_list r)
+      | First -> (
+          (* First races are ordered along the recorded schedule; one
+             that does not replay is an input error. *)
+          match Race.first_races_session_outcome session with
+          | outcome -> entry q outcome (fun r -> Race_list r)
+          | exception Replay.Not_replayable msg -> errorf Parse "%s" msg)
       | Schedules ->
           entry q (Session.schedule_count_outcome session) (fun c -> Count c)
       | Pair (relation, rest) ->
@@ -446,9 +448,9 @@ let outcome_string = function
 let run_batch ?serialize config (req : request) =
   (* Engine resolution is per request and never consults the handling
      domain's previous choice: request > server flag > environment
-     default.  [Engine.set] is domain-local and [Parallel.map] re-seeds
-     its workers, so concurrent requests cannot leak engines into each
-     other. *)
+     default.  [Engine.set] is domain-local and the session below reads
+     it once, when it is made, so concurrent requests cannot leak engines
+     into each other and no worker domain consults the switch again. *)
   let engine =
     match (req.engine, config.engine) with
     | Some e, _ -> e
@@ -457,8 +459,9 @@ let run_batch ?serialize config (req : request) =
   in
   Engine.set engine;
   (* The model resolves the same way (request > server flag > environment
-     default) and is likewise domain-local; it is baked into the session
-     cache key, so cached answers can never cross models. *)
+     default) and is likewise domain-local, read once by the session's
+     skeleton; it is baked into the session cache key, so cached answers
+     can never cross models. *)
   let model =
     match (req.model, config.model) with
     | Some m, _ -> m

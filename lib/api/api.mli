@@ -102,7 +102,8 @@ type result = {
 val answers : Session.t -> Trace.t -> Execution.t -> string list -> result list
 (** Answers the queries in order against one shared session (one
     enumeration pass, one reachability memo, one cache entry set).
-    Raises {!Error} [Usage] on an unparsable query. *)
+    Raises {!Error} [Usage] on an unparsable query, and {!Error} [Parse]
+    on a [first] query whose recorded schedule does not replay. *)
 
 val json_of_rel : Rel.t -> Jsonout.t
 (** A relation as a JSON list of [[a, b]] pairs. *)
@@ -164,8 +165,9 @@ type config = {
   model : Memmodel.t option;
       (** server-side default memory model; same resolution as
           [engine] (request > flag > [EO_MODEL]/sc).  The resolved
-          model is set domain-locally per request and baked into the
-          session cache key, so cached answers never cross models *)
+          engine and model are set domain-locally per request, read
+          once by the request's session when it is made, and baked
+          into its cache key, so cached answers never cross models *)
   limit : int option;
   jobs : int;  (** worker-domain cap; requests can lower it, not raise *)
   max_events : int;  (** admission guard on the exponential engines *)

@@ -54,25 +54,27 @@ let forced_preds ~kinds ~sem_init ~sem_binary:_ ~ev_init =
     ev_posts;
   preds
 
+let dense_pids pids =
+  let pid_map = Hashtbl.create 16 in
+  let pid_ix =
+    Array.map
+      (fun p ->
+        match Hashtbl.find_opt pid_map p with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length pid_map in
+            Hashtbl.add pid_map p i;
+            i)
+      pids
+  in
+  (Hashtbl.length pid_map, pid_ix)
+
 let build ~pids ~kinds ~po_preds ?extra_preds ~sem_init ~sem_binary ~ev_init ()
     =
   let n = Array.length pids in
   try
-    (* Dense process indices. *)
-    let pid_map = Hashtbl.create 16 in
-    let pid_ix = Array.make n 0 in
-    let nprocs = ref 0 in
-    for e = 0 to n - 1 do
-      pid_ix.(e) <-
-        (match Hashtbl.find_opt pid_map pids.(e) with
-        | Some i -> i
-        | None ->
-            let i = !nprocs in
-            Hashtbl.add pid_map pids.(e) i;
-            incr nprocs;
-            i)
-    done;
-    let np = max 1 !nprocs in
+    let nprocs, pid_ix = dense_pids pids in
+    let np = max 1 nprocs in
     if n * np > max_cells then raise Inapplicable;
     let forced = forced_preds ~kinds ~sem_init ~sem_binary ~ev_init in
     (* Event ids must be a topological order of the enforced edges (true

@@ -29,6 +29,12 @@
 
 type t
 
+val dense_pids : int array -> int * int array
+(** [dense_pids pids] numbers the distinct values of [pids] (one per
+    event) densely, in order of first appearance: it returns the number
+    of processes and each event's process index.  Tables indexed by it
+    are as wide as the process count, whatever the pid values. *)
+
 val build :
   pids:int array ->
   kinds:Event.kind array ->

@@ -1,16 +1,17 @@
 type t = {
   n : int;
-  pid_of : int array;
-  clocks : int array array;  (* per event, indexed by pid *)
+  pid_of : int array;  (* event -> dense process index *)
+  clocks : int array array;  (* per event, indexed by process index *)
 }
 
 let compute (sk : Skeleton.t) schedule =
   let events = sk.Skeleton.execution.Execution.events in
   let n = sk.Skeleton.n in
-  let n_pids =
-    1 + Array.fold_left (fun acc e -> max acc e.Event.pid) (-1) events
+  (* A trace's pids are arbitrary integers (negative, or far apart): the
+     clocks are as wide as the process count, not the largest pid. *)
+  let n_pids, pid_of =
+    Order_clock.dense_pids (Array.map (fun e -> e.Event.pid) events)
   in
-  let pid_of = Array.map (fun e -> e.Event.pid) events in
   let clocks = Array.make n [||] in
   (* Incoming edges that transport clock values: program order plus the
      synchronization pairings realized by this schedule.  Shared-data
@@ -37,8 +38,12 @@ let compute (sk : Skeleton.t) schedule =
     schedule;
   { n; pid_of; clocks }
 
-let of_execution (x : Execution.t) =
-  compute (Skeleton.of_execution x) (Execution.schedule_of_temporal x)
+let observed (sk : Skeleton.t) =
+  let schedule = Execution.schedule_of_temporal sk.Skeleton.execution in
+  Replay.require sk schedule;
+  compute sk schedule
+
+let of_execution (x : Execution.t) = observed (Skeleton.of_execution x)
 
 let clock t e = t.clocks.(e)
 

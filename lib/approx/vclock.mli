@@ -19,13 +19,20 @@ val compute : Skeleton.t -> int array -> t
     synchronization pairing is read off the schedule exactly as in
     {!Pinned.sync_edges}. *)
 
+val observed : Skeleton.t -> t
+(** Clocks for the observed execution of the skeleton: the schedule is
+    recovered from the (total) temporal order and must replay.  Raises
+    [Invalid_argument] when the execution's temporal order is not total,
+    and {!Replay.Not_replayable} when the recorded schedule does not
+    replay. *)
+
 val of_execution : Execution.t -> t
-(** Clocks for the observed execution: the schedule is recovered from the
-    (total) temporal order.  Raises [Invalid_argument] when the execution's
-    temporal order is not total. *)
+(** {!observed} on the execution's skeleton. *)
 
 val clock : t -> int -> int array
-(** The vector clock of an event (indexed by pid). *)
+(** The vector clock of an event, one component per process, numbered
+    as {!Order_clock.dense_pids} does (in order of each process's first
+    event). *)
 
 val hb : t -> int -> int -> bool
 (** [hb t a b]: did [a] happen before [b] in the observed execution?

@@ -4,9 +4,9 @@ type t = {
 }
 
 let of_session session =
-  (* Every per-pair primitive below is engine-routed by the session;
-     under the auto engine the ladder starts at the triage layer's
-     tier-1 approximation oracle. *)
+  (* Every per-pair primitive below runs the session's ladder; under
+     the auto engine it starts at the triage layer's tier-1
+     approximation oracle. *)
   Triage.attach session;
   { session; summary = None }
 
@@ -25,7 +25,7 @@ let reach t = Session.reach t.session
 
 let stats_commit t = Reach.stats_commit (reach t)
 
-(* The per-pair primitives are engine-routed by the session: memoized
+(* The per-pair primitives run the session's ladder: memoized
    reachability under the search engines, replay-certified assumption
    probes on one compiled formula under [Engine.Sat]. *)
 

@@ -21,10 +21,9 @@ let default_of_env () =
    parser) so the CLI, bench and tests all see one switch and [set]
    overrides it (differential tests flip it back and forth).  Domain-
    local rather than a global ref so a server worker pool can honour a
-   per-request engine without the domains racing on one cell; freshly
-   spawned domains start from the environment default, and [Parallel.map]
-   re-seeds its workers from the coordinating domain's choice so the
-   fan-out engines agree with their coordinator. *)
+   per-request engine without the domains racing on one cell.  Sessions
+   read it once, when they are made; nothing a worker domain runs reads
+   it again. *)
 let selected : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () =

@@ -22,15 +22,16 @@
     use; {!set} overrides it.  The switch is {e domain-local}: each
     domain resolves its own copy (starting from the environment
     default), so a server worker pool can honour per-request engine
-    selections without synchronization.  {!Parallel.map} re-seeds the
-    domains it spawns from the coordinating domain's choice, so engine
-    reads inside a parallel fan-out agree with the coordinator. *)
+    selections without synchronization.  A {!Session.t} reads it once,
+    when it is made, and keeps that engine for its whole life — on every
+    domain its passes and race decisions fan out to. *)
 
 type t = Naive | Packed | Sat | Auto
 
 val current : unit -> t
 
 val set : t -> unit
+(** Picks the engine of the sessions made after it on this domain. *)
 
 val default_of_env : unit -> t
 (** The environment default ([EO_ENGINE], else [Packed]) without

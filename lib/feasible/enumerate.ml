@@ -189,12 +189,13 @@ let iter_packed_from ~stats ~budget st depth0 limit f =
   (try go depth0 with Stop -> ());
   !found
 
-let iter ?limit ?(stats = Counters.null) ?(budget = Budget.unlimited) sk f =
+let iter ?limit ?(stats = Counters.null) ?(budget = Budget.unlimited)
+    ?(engine = Engine.current ()) sk f =
   let st = make_search sk in
   (* Enumeration has no SAT formulation: under [Engine.Sat] the packed
      search does the walking while per-pair queries go through the
      encoder (see [Session]). *)
-  match Engine.current () with
+  match engine with
   | Engine.Naive -> iter_naive_from ~stats ~budget st 0 limit f
   | Engine.Packed | Engine.Sat | Engine.Auto ->
       iter_packed_from ~stats ~budget st 0 limit f
@@ -281,7 +282,8 @@ let feasible_prefixes ?(stats = Counters.null) ?(budget = Budget.unlimited) sk
   (try go 0 with Stop -> ());
   List.rev !acc
 
-let exists_order ?(budget = Budget.unlimited) sk ~before ~after =
+let exists_order ?(budget = Budget.unlimited) ?(engine = Engine.current ()) sk
+    ~before ~after =
   if before = after then false
   else begin
     let st = make_search sk in
@@ -326,7 +328,7 @@ let exists_order ?(budget = Budget.unlimited) sk ~before ~after =
       end
     in
     (try
-       match Engine.current () with
+       match engine with
        | Engine.Naive -> go_naive 0
        | Engine.Packed | Engine.Sat | Engine.Auto -> go_packed 0
      with Stop -> ());

@@ -20,6 +20,7 @@ val iter :
   ?limit:int ->
   ?stats:Counters.t ->
   ?budget:Budget.t ->
+  ?engine:Engine.t ->
   Skeleton.t ->
   (int array -> unit) ->
   int
@@ -31,6 +32,8 @@ val iter :
     [Enum_nodes] / [Enum_pops] / [Enum_schedules] / [Limit_truncations];
     pop counts are engine-relative (the naive scan examines all [n]
     candidates per node, the packed one only frontier members).
+    [?engine] (default {!Engine.current}) picks the scan: [Naive] runs
+    the seed search, every other engine the packed one.
 
     [?budget] (default {!Budget.unlimited}) is polled once per interior
     node; expiry stops the search exactly like a [?limit] hit — the
@@ -49,12 +52,18 @@ val first : Skeleton.t -> int array option
 (** The lexicographically first feasible schedule, if any. *)
 
 val exists_order :
-  ?budget:Budget.t -> Skeleton.t -> before:int -> after:int -> bool
+  ?budget:Budget.t ->
+  ?engine:Engine.t ->
+  Skeleton.t ->
+  before:int ->
+  after:int ->
+  bool
 (** [exists_order sk ~before:a ~after:b]: is there a feasible schedule in
     which [a] is scheduled before [b]?  (This is exactly the could-have-
     happened-before relation; see {!DESIGN.md}.)  Prunes branches where [b]
     was scheduled first, so it is cheaper than filtering {!iter}.  Budget
-    expiry yields [false] — a sound under-report, as with [?limit]. *)
+    expiry yields [false] — a sound under-report, as with [?limit].
+    [?engine] picks the scan as in {!iter}. *)
 
 (** {2 Subtree tasks}
 

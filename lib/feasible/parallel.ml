@@ -10,75 +10,67 @@ let map ?telemetry ?(budget = Budget.unlimited) ~jobs f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let jobs = max 1 (min jobs n) in
+    (* Callers split the work by the requested [jobs], so results and
+       counters do not depend on the machine; only the number of domains
+       that drain the tasks is capped at what the host can run at once. *)
+    let jobs = max 1 (min (min jobs n) (Domain.recommended_domain_count ())) in
     (match telemetry with
     | Some tel -> Telemetry.ensure_domains tel jobs
     | None -> ());
-    if jobs = 1 then Telemetry.timed_domain telemetry 0 (fun () -> Array.map f xs)
-    else begin
-      let results = Array.make n None in
-      let next = Atomic.make 0 in
-      let failed = Atomic.make false in
-      (* Each worker owns the result slots of the tasks it claims; no two
-         workers ever touch the same index, so plain writes suffice.
-         Per-domain wall times land in distinct telemetry slots the same
-         way.  A task's exception is parked in its own slot and re-raised
-         after every domain has joined; tasks are claimed in index order,
-         so the lowest-indexed failure wins deterministically whatever
-         the domain interleaving. *)
-      (* [Engine.current] is domain-local; spawned domains would
-         otherwise fall back to the environment default, disagreeing
-         with a coordinator that called [Engine.set] (the race layer
-         reads the engine inside its per-pair workers). *)
-      let engine = Engine.current () in
-      let model = Memmodel.current () in
-      let worker k =
-        if k > 0 then begin
-          Engine.set engine;
-          Memmodel.set model
-        end;
-        Telemetry.timed_domain telemetry k (fun () ->
-            let rec loop () =
-              if not (Atomic.get failed) then begin
-                (* Re-read the deadline between tasks: once any domain
-                   trips it, the shared flag makes every remaining task
-                   near-instant (a budget-aware [f] stops on its first
-                   poll), so the whole fan-out winds down while [map]
-                   still returns a complete, deterministic array. *)
-                ignore (Budget.check_now budget);
-                let i = Atomic.fetch_and_add next 1 in
-                if i < n then begin
-                  (match f xs.(i) with
-                  | r -> results.(i) <- Some (Ok r)
-                  | exception e ->
-                      let bt = Printexc.get_raw_backtrace () in
-                      results.(i) <- Some (Error (e, bt));
-                      Atomic.set failed true);
-                  loop ()
-                end
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make false in
+    (* Each worker owns the result slots of the tasks it claims; no two
+       workers ever touch the same index, so plain writes suffice.
+       Per-domain wall times land in distinct telemetry slots the same
+       way.  A task's exception is parked in its own slot and re-raised
+       after every domain has joined; tasks are claimed in index order,
+       so the lowest-indexed failure wins deterministically whatever
+       the domain interleaving. *)
+    let worker k =
+      Telemetry.timed_domain telemetry k (fun () ->
+          let rec loop () =
+            if not (Atomic.get failed) then begin
+              (* Re-read the deadline between tasks: once any domain
+                 trips it, the shared flag makes every remaining task
+                 near-instant (a budget-aware [f] stops on its first
+                 poll), so the whole fan-out winds down while [map]
+                 still returns a complete, deterministic array. *)
+              ignore (Budget.check_now budget);
+              let i = Atomic.fetch_and_add next 1 in
+              if i < n then begin
+                (match f xs.(i) with
+                | r -> results.(i) <- Some (Ok r)
+                | exception e ->
+                    let bt = Printexc.get_raw_backtrace () in
+                    results.(i) <- Some (Error (e, bt));
+                    Atomic.set failed true);
+                loop ()
               end
-            in
-            loop ())
-      in
-      let domains =
-        Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-      in
-      (* Join every domain even when the caller's share raises — a leaked
-         domain would keep mutating [results] behind our back. *)
-      Fun.protect
-        ~finally:(fun () -> Array.iter Domain.join domains)
-        (fun () -> worker 0);
-      Array.iter
-        (function
-          | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-          | Some (Ok _) | None -> ())
-        results;
-      Array.map
-        (function
-          | Some (Ok r) -> r
-          | Some (Error _) | None -> assert false (* all claimed, none failed *))
-        results
-    end
+            end
+          in
+          loop ())
+    in
+    (* The calling domain is worker 0; with one job it runs every task
+       itself, through the same loop. *)
+    let domains =
+      Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+    in
+    (* Join every domain even when the caller's share raises — a leaked
+       domain would keep mutating [results] behind our back. *)
+    Fun.protect
+      ~finally:(fun () -> Array.iter Domain.join domains)
+      (fun () -> worker 0);
+    Array.iter
+      (function
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | Some (Ok _) | None -> ())
+      results;
+    Array.map
+      (function
+        | Some (Ok r) -> r
+        | Some (Error _) | None -> assert false (* all claimed, none failed *))
+      results
   end
 
 (* Split-depth heuristic, shared by both splitters: the shallowest depth

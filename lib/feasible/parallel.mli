@@ -34,10 +34,14 @@ val map :
   'a array ->
   'b array
 (** [map ~jobs f xs] applies [f] to every element using up to [jobs]
-    domains (the calling domain participates; [jobs <= 1] or a singleton
-    array degrades to [Array.map]).  Results are returned in input order.
+    domains, and never more than [Domain.recommended_domain_count ()]
+    (the calling domain participates, and with one domain runs every
+    task itself).  Results are returned in input order.
     [f] must be safe to run concurrently with itself on distinct
-    elements.
+    elements.  Spawned domains start from the environment defaults of
+    the domain-local switches ({!Engine.current}, {!Memmodel.current}):
+    [f] must take what it needs from its closure (a session's engine, a
+    skeleton's model), never read them.
 
     If a task raises, every domain is still joined (workers stop
     claiming new tasks, in-flight tasks finish) and the exception of the
@@ -46,13 +50,14 @@ val map :
     exits behave identically across runs.
 
     With [?budget], workers re-check the wall-clock deadline between
-    tasks: the budget's trip flag is shared by every domain, so one
+    tasks, also when only one domain runs (one requested, or a one-CPU
+    host); the budget's trip flag is shared by every domain, so one
     domain hitting the deadline makes every remaining task near-instant
     (a budget-aware [f] stops on its first poll) while [map] still
     returns a complete array of partial accumulators.
 
     With [?telemetry], each domain's wall-clock time is added to the
-    report (domain 0 is the caller). *)
+    report (domain 0 is the caller), one entry per domain that ran. *)
 
 val split_prefixes :
   ?stats:Counters.t -> Skeleton.t -> jobs:int -> (int * int array array) option

@@ -51,11 +51,8 @@ let sync_edges (sk : Skeleton.t) schedule =
   List.rev !edges
 
 let po_of_schedule (sk : Skeleton.t) schedule =
-  (match Replay.check sk schedule with
-  | Replay.Feasible -> ()
-  | v ->
-      invalid_arg
-        (Format.asprintf "Pinned.po_of_schedule: %a" Replay.pp_verdict v));
+  (try Replay.require sk schedule
+   with Replay.Not_replayable m -> invalid_arg ("Pinned.po_of_schedule: " ^ m));
   let r = Rel.create sk.Skeleton.n in
   for b = 0 to sk.Skeleton.n - 1 do
     List.iter (fun a -> Rel.add r a b) sk.Skeleton.po_preds.(b);

@@ -33,7 +33,8 @@
 val po_of_schedule : Skeleton.t -> int array -> Rel.t
 (** [po_of_schedule sk schedule] computes the transitively closed pinned
     partial order.  The schedule must be feasible (checked with
-    {!Replay.check}; raises [Invalid_argument] otherwise). *)
+    {!Replay.require}; raises [Invalid_argument] with its message
+    otherwise). *)
 
 val sync_edges : Skeleton.t -> int array -> (int * int) list
 (** Just the semaphore-pairing and wait-trigger edges, for inspection and

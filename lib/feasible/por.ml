@@ -159,8 +159,8 @@ let iter_representatives_packed ?limit ~stats ~budget sk f =
   !found
 
 let iter_representatives ?limit ?(stats = Counters.null)
-    ?(budget = Budget.unlimited) sk f =
-  match Engine.current () with
+    ?(budget = Budget.unlimited) ?(engine = Engine.current ()) sk f =
+  match engine with
   | Engine.Naive -> iter_representatives_naive ?limit ~stats ~budget sk f
   | Engine.Packed | Engine.Sat | Engine.Auto ->
       iter_representatives_packed ?limit ~stats ~budget sk f

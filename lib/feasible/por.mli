@@ -27,6 +27,7 @@ val iter_representatives :
   ?limit:int ->
   ?stats:Counters.t ->
   ?budget:Budget.t ->
+  ?engine:Engine.t ->
   Skeleton.t ->
   (int array -> unit) ->
   int
@@ -36,9 +37,9 @@ val iter_representatives :
 
     [?stats] accumulates [Por_nodes] / [Por_pops] / [Por_sleep_prunes] /
     [Por_indep_refinements] / [Por_reps] (plus [Limit_truncations]).
-    Pop counts are engine-relative; sleep-prune counts are identical
-    across engines — both prune exactly the ready-but-asleep
-    candidates.
+    Pop counts are engine-relative ([?engine], default
+    {!Engine.current}); sleep-prune counts are identical across engines
+    — both prune exactly the ready-but-asleep candidates.
 
     [?budget] is polled once per tree node; expiry stops the walk like a
     [?limit] hit (representatives already visited stand,

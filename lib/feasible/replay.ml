@@ -46,6 +46,8 @@ let check (sk : Skeleton.t) schedule =
 
 let is_feasible sk schedule = check sk schedule = Feasible
 
+exception Not_replayable of string
+
 let pp_verdict ppf = function
   | Feasible -> Format.pp_print_string ppf "feasible"
   | Not_a_permutation -> Format.pp_print_string ppf "not a permutation of the events"
@@ -57,3 +59,20 @@ let pp_verdict ppf = function
         event missing_pred
   | Sync_blocked { event } ->
       Format.fprintf ppf "synchronization event %d scheduled while blocked" event
+
+let require sk schedule =
+  let fail fmt =
+    Format.kasprintf
+      (fun m ->
+        raise (Not_replayable ("the recorded schedule does not replay: " ^ m)))
+      fmt
+  in
+  match check sk schedule with
+  | Feasible -> ()
+  | Not_a_permutation as v -> fail "%a" pp_verdict v
+  | ( Program_order_violated { event; _ }
+    | Dependence_violated { event; _ }
+    | Sync_blocked { event } ) as v ->
+      let step = ref 0 in
+      while schedule.(!step) <> event do incr step done;
+      fail "step %d is not enabled (%a)" !step pp_verdict v

@@ -22,4 +22,15 @@ val check : Skeleton.t -> int array -> verdict
 
 val is_feasible : Skeleton.t -> int array -> bool
 
+exception Not_replayable of string
+(** The message names the first step of the schedule that is not
+    enabled, and why. *)
+
+val require : Skeleton.t -> int array -> unit
+(** [require sk schedule] returns when the schedule replays and raises
+    {!Not_replayable} otherwise.  For answers read off a {e recorded}
+    schedule (apparent and first races, the observed width and
+    parallelism profile): a trace file may record a schedule its own
+    synchronization forbids, and that is an input error, not a crash. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -79,8 +79,254 @@ type summary = {
   incomparable_some : Rel.t;
 }
 
+(* ------------------------------------------------------------------ *)
+(* The query ladder.  Exact ordering is co-NP-/NP-hard, so every
+   per-pair answer comes from a cost-ordered list of tiers, each of which
+   either decides the query or gives way to the next.  An engine is a
+   list of tiers — [ladder] below is the one place that says which — and
+   [climb] is the one loop that runs it, for a session's queries and for
+   the race layer's per-pair decisions alike. *)
+
+type _ query =
+  | Feasible : bool query
+  | Before : int * int -> bool query
+  | Witness : int * int -> int array option query
+  | Must : int * int -> bool query
+  | Race : int * int -> bool query
+
+(* A tier's reply: an answer; [Pass], handing the query on (counted as
+   an escalation — so is running out of the tier's own budget slice);
+   or [Absent], when the tier has no device for the query at all (no
+   oracle attached, or a witness asked of tier 1), skipped uncounted. *)
+type 'a reply = Answer of 'a | Pass | Absent
+
+type tier = {
+  decide : 'a. 'a query -> 'a reply;
+  hit : Counters.key option;  (* bumped per answer (auto tiers only) *)
+}
+
+type ladder = {
+  tiers : tier list;
+  lc : Counters.t;
+  lbudget : Budget.t;  (* whose expiry degrades the answer *)
+  reaches : Reach.t Lazy.t list;  (* the state engines its tiers run *)
+}
+
+let encode_program (sk : Skeleton.t) =
+  {
+    Encode.n = sk.Skeleton.n;
+    po_preds = sk.Skeleton.po_preds;
+    dep_preds = sk.Skeleton.dep_preds;
+    kinds = sk.Skeleton.kinds;
+    sem_init = sk.Skeleton.sem_init;
+    sem_binary = sk.Skeleton.sem_binary;
+    ev_init = sk.Skeleton.ev_init;
+  }
+
+(* Every positive SAT answer is decoded into a schedule and certified by
+   the [Replay] oracle before it is believed — an encoder bug surfaces as
+   a loud failure here, never as a wrong analysis answer. *)
+let certify sk schedule =
+  match Replay.check sk schedule with
+  | Replay.Feasible -> schedule
+  | v ->
+      invalid_arg
+        (Format.asprintf "Session: SAT witness rejected by replay (%a)"
+           Replay.pp_verdict v)
+
+let oracle_tier oracle =
+  {
+    hit = Some Counters.Triage_approx_hits;
+    decide =
+      (fun (type a) (q : a query) : a reply ->
+        let reply = function Some v -> Answer v | None -> Pass in
+        match (!oracle, q) with
+        | None, _ | _, Witness _ -> Absent
+        | Some o, Feasible -> reply (o.o_feasible ())
+        | Some o, Before (a, b) -> reply (o.o_exists_before a b)
+        | Some o, Must (a, b) -> reply (o.o_must_before a b)
+        | Some o, Race (a, b) -> reply (o.o_race a b));
+  }
+
+let reach_tier ?hit reach =
+  {
+    hit;
+    decide =
+      (fun (type a) (q : a query) : a reply ->
+        let r = Lazy.force reach in
+        let v : a =
+          match q with
+          | Feasible -> Reach.feasible_exists r
+          | Before (a, b) -> Reach.exists_before r a b
+          | Witness (a, b) -> Reach.witness_before r a b
+          | Must (a, b) -> Reach.must_before r a b
+          | Race (a, b) -> Reach.exists_race r a b
+        in
+        Answer v);
+  }
+
+(* Queries become assumption probes on one compiled formula. *)
+let sat_tier ?hit sk encoder =
+  let certified = function
+    | None -> false
+    | Some s ->
+        ignore (certify sk s);
+        true
+  in
+  {
+    hit;
+    decide =
+      (fun (type a) (q : a query) : a reply ->
+        let enc = Lazy.force encoder in
+        let v : a =
+          match q with
+          | Feasible -> certified (Encode.feasible_witness enc)
+          | Before (a, b) -> certified (Encode.exists_before_witness enc a b)
+          | Witness (a, b) ->
+              Option.map (certify sk) (Encode.exists_before_witness enc a b)
+          | Must (a, b) ->
+              certified (Encode.feasible_witness enc)
+              && not (certified (Encode.exists_before_witness enc b a))
+          | Race (a, b) -> (
+              match Encode.race_witness enc a b with
+              | Some (s1, s2) -> certified (Some s1) && certified (Some s2)
+              | None -> false)
+        in
+        Answer v);
+  }
+
+let scan_before schedule a b =
+  let n = Array.length schedule in
+  let rec scan i =
+    if i >= n then false
+    else if schedule.(i) = a then true
+    else if schedule.(i) = b then false
+    else scan (i + 1)
+  in
+  scan 0
+
+(* Plain bounded schedule enumeration under its slice: a completed walk
+   is exact (the search space is finite), one cut short stops like a
+   [?limit] hit.  Races take the state engine under the same slice. *)
+let enum_tier ~c sk budget race_reach =
+  {
+    hit = Some Counters.Triage_enum_hits;
+    decide =
+      (fun (type a) (q : a query) : a reply ->
+        (* The first schedule [p] accepts, if any — one walk. *)
+        let find p =
+          let found = ref None in
+          let (_ : int) =
+            Enumerate.iter ~stats:c ~budget:(Lazy.force budget)
+              ~engine:Engine.Packed sk (fun s ->
+                if p s then begin
+                  found := Some (Array.copy s);
+                  raise Enumerate.Stop
+                end)
+          in
+          !found
+        in
+        let v : a =
+          match q with
+          | Feasible -> find (fun _ -> true) <> None
+          | Before (a, b) -> find (fun s -> scan_before s a b) <> None
+          | Witness (a, b) -> find (fun s -> scan_before s a b)
+          | Must (a, b) ->
+              let any = ref false in
+              find (fun s ->
+                  any := true;
+                  scan_before s b a)
+              = None
+              && !any
+          | Race (a, b) -> Reach.exists_race (Lazy.force race_reach) a b
+        in
+        Answer v);
+  }
+
+(* The SAT tier compiles one two-copy-capable formula; past this many
+   events the encoding itself dwarfs the other tiers, so the auto ladder
+   leaves it out (absent, not defeated: no escalation is counted). *)
+let auto_sat_cap = 128
+
+(* Each engine as its list of tiers.  [reach] is the state engine over
+   the whole [budget] (a session shares it with its summaries and
+   counts); the auto ladder's tiers 2–4 each run under their own
+   [Budget.sub] slice, made on first use, once per ladder.  [on_encode]
+   runs when the sat engine first compiles its formula. *)
+let ladder ?(on_encode = ignore) engine ~c ~budget ~oracle ~reach sk =
+  let make tiers reaches = { tiers; lc = c; lbudget = budget; reaches } in
+  let encoder budget = Encode.build ~stats:c ~budget (encode_program sk) in
+  match engine with
+  | Engine.Naive | Engine.Packed -> make [ reach_tier reach ] [ reach ]
+  | Engine.Sat -> make [ sat_tier sk (lazy (on_encode (); encoder budget)) ] []
+  | Engine.Auto ->
+      let slice nodes = Budget.sub budget ~node_budget:(nodes ()) () in
+      let reach_slice =
+        lazy (Reach.create ~stats:c ~budget:(slice Config.triage_reach_nodes) sk)
+      in
+      let enum_slice = lazy (slice Config.triage_enum_nodes) in
+      let enum_reach =
+        lazy (Reach.create ~stats:c ~budget:(Lazy.force enum_slice) sk)
+      in
+      let sat =
+        if sk.Skeleton.n > auto_sat_cap then []
+        else
+          let conflicts = Config.triage_sat_conflicts in
+          [
+            sat_tier ~hit:Counters.Triage_sat_hits sk
+              (lazy
+                (encoder (Budget.sub budget ~conflict_budget:(conflicts ()) ())));
+          ]
+      in
+      make
+        ((oracle_tier oracle
+         :: reach_tier ~hit:Counters.Triage_reach_hits reach_slice
+         :: sat)
+        @ [ enum_tier ~c sk enum_slice enum_reach ])
+        [ reach_slice; enum_reach ]
+
+(* A tier gave way.  If the ladder's own budget is gone this is a real
+   expiry (re-raised, for the caller to degrade); otherwise count the
+   escalation and let the next tier try. *)
+let escalate l =
+  Budget.raise_if_exhausted l.lbudget;
+  Counters.bump l.lc Counters.Triage_escalations
+
+(* The last tier is exact: its expiry is the query's. *)
+let rec climb : type a. ladder -> a query -> tier list -> a =
+ fun l q -> function
+  | [] -> invalid_arg "Session: a ladder must end in an exact tier"
+  | tier :: rest -> (
+      match tier.decide q with
+      | Answer v ->
+          (match tier.hit with Some k -> Counters.bump l.lc k | None -> ());
+          v
+      | Absent -> climb l q rest
+      | Pass ->
+          escalate l;
+          climb l q rest
+      | exception Budget.Expired when rest <> [] ->
+          escalate l;
+          climb l q rest)
+
+let decide l q = climb l q l.tiers
+
+let decide_race engine ~stats ~budget ?oracle sk a b =
+  let reach = lazy (Reach.create ~stats ~budget sk) in
+  let l = ladder engine ~c:stats ~budget ~oracle:(ref oracle) ~reach sk in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun r -> if Lazy.is_val r then Reach.stats_commit (Lazy.force r))
+        l.reaches)
+    (fun () -> decide l (Race (a, b)))
+
+(* ------------------------------------------------------------------ *)
+(* Sessions. *)
+
 type t = {
   sk : Skeleton.t;
+  engine : Engine.t;  (* read once, when the session is made *)
   limit : int option;
   jobs : int;
   stats : Telemetry.t option;
@@ -88,14 +334,10 @@ type t = {
   budget : Budget.t;
   cache : cache;
   key : Program_key.t Lazy.t;
-  mutable reach : Reach.t option;
-  mutable encoder : Encode.t option;
-  mutable oracle : oracle option;  (* auto tier 1, set by Triage.attach *)
-  mutable auto_reach : Reach.t option;  (* auto tier 2, under its slice *)
-  mutable auto_encoder : Encode.t option;  (* auto tier 3, under its slice *)
-  mutable auto_enum_budget : Budget.t option;  (* auto tier 4 allotment *)
-  mutable auto_enum_reach : Reach.t option;  (* auto tier 4 race engine *)
-  auto_memo : (char * int * int, bool) Hashtbl.t;
+  reach : Reach.t Lazy.t;
+  oracle : oracle option ref;  (* auto tier 1, set by Triage.attach *)
+  ladder : ladder;
+  memo : (bool query, bool) Hashtbl.t option;  (* auto only *)
   mutable pending_full : consumer list;  (* reversed registration order *)
   mutable pending_por : consumer list;
   mutable full_stats : (int * bool) option;  (* schedules visited, truncated *)
@@ -104,11 +346,20 @@ type t = {
   mutable summary_reduced_memo : summary option;
 }
 
+let stamp_run stats ~engine ~jobs =
+  Option.iter
+    (fun tel -> Telemetry.set_run tel ~engine:(Engine.to_string engine) ~jobs)
+    stats
+
 let create ?limit ?(jobs = 1) ?stats ?(budget = Budget.unlimited)
     ?(cache = no_cache) sk =
   let c = match stats with Some tel -> Telemetry.counters tel | None -> Counters.null in
+  let engine = Engine.current () in
+  let reach = lazy (Reach.create ~stats:c ~budget sk) in
+  let oracle = ref None in
   {
     sk;
+    engine;
     limit;
     jobs;
     stats;
@@ -116,14 +367,12 @@ let create ?limit ?(jobs = 1) ?stats ?(budget = Budget.unlimited)
     budget;
     cache;
     key = lazy (Program_key.of_execution sk.Skeleton.execution);
-    reach = None;
-    encoder = None;
-    oracle = None;
-    auto_reach = None;
-    auto_encoder = None;
-    auto_enum_budget = None;
-    auto_enum_reach = None;
-    auto_memo = Hashtbl.create 64;
+    reach;
+    oracle;
+    ladder =
+      ladder engine ~c ~budget ~oracle ~reach sk
+        ~on_encode:(fun () -> stamp_run stats ~engine ~jobs);
+    memo = (if engine = Engine.Auto then Some (Hashtbl.create 64) else None);
     pending_full = [];
     pending_por = [];
     full_stats = None;
@@ -137,401 +386,41 @@ let of_execution ?limit ?jobs ?stats ?budget ?cache x =
 
 let skeleton t = t.sk
 let execution t = t.sk.Skeleton.execution
+let engine t = t.engine
 let key t = Lazy.force t.key
 let limit t = t.limit
 let jobs t = t.jobs
 let budget t = t.budget
 let telemetry t = t.stats
 let full_pass_stats t = t.full_stats
+let reach t = Lazy.force t.reach
+let set_run t = stamp_run t.stats ~engine:t.engine ~jobs:t.jobs
+let set_oracle t o = t.oracle := Some o
+let has_oracle t = !(t.oracle) <> None
 
-let reach t =
-  match t.reach with
-  | Some r -> r
-  | None ->
-      let r = Reach.create ~stats:t.c ~budget:t.budget t.sk in
-      t.reach <- Some r;
-      r
-
-let set_run t =
-  match t.stats with
-  | None -> ()
-  | Some tel ->
-      Telemetry.set_run tel ~engine:(Engine.to_string (Engine.current ())) ~jobs:t.jobs
-
-(* ------------------------------------------------------------------ *)
-(* The SAT backend: one compiled formula per session (built lazily,
-   like [reach]), per-pair queries as assumption probes.  Every
-   positive SAT answer is decoded into a schedule and certified by the
-   [Replay] oracle before it is believed — an encoder bug surfaces as a
-   loud failure here, never as a wrong analysis answer. *)
-
-let encode_program (sk : Skeleton.t) =
-  {
-    Encode.n = sk.Skeleton.n;
-    po_preds = sk.Skeleton.po_preds;
-    dep_preds = sk.Skeleton.dep_preds;
-    kinds = sk.Skeleton.kinds;
-    sem_init = sk.Skeleton.sem_init;
-    sem_binary = sk.Skeleton.sem_binary;
-    ev_init = sk.Skeleton.ev_init;
-  }
-
-let encoder t =
-  match t.encoder with
-  | Some e -> e
-  | None ->
-      set_run t;
-      let e = Encode.build ~stats:t.c ~budget:t.budget (encode_program t.sk) in
-      t.encoder <- Some e;
-      e
-
-let certify sk schedule =
-  match Replay.check sk schedule with
-  | Replay.Feasible -> schedule
-  | v ->
-      invalid_arg
-        (Format.asprintf "Session: SAT witness rejected by replay (%a)"
-           Replay.pp_verdict v)
-
-let sat_engine () = Engine.current () = Engine.Sat
-
-let witness_before t a b =
-  if sat_engine () then
-    Option.map (certify t.sk) (Encode.exists_before_witness (encoder t) a b)
-  else Reach.witness_before (reach t) a b
-
-let exists_before t a b =
-  if sat_engine () then witness_before t a b <> None
-  else Reach.exists_before (reach t) a b
-
-let feasible_exists t =
-  if sat_engine () then
-    match Encode.feasible_witness (encoder t) with
-    | Some s ->
-        ignore (certify t.sk s);
-        true
-    | None -> false
-  else Reach.feasible_exists (reach t)
-
-let must_before t a b =
-  if sat_engine () then a <> b && feasible_exists t && not (exists_before t b a)
-  else Reach.must_before (reach t) a b
-
-(* Session-independent SAT race probe, for callers (the race layer)
-   that decide pairs on *modified* skeletons a session never owns. *)
-let sat_exists_race ?(stats = Counters.null) ?budget sk a b =
-  let enc = Encode.build ~stats ?budget (encode_program sk) in
-  match Encode.race_witness enc a b with
-  | Some (s1, s2) ->
-      ignore (certify sk s1);
-      ignore (certify sk s2);
-      true
-  | None -> false
-
-let exists_race t a b =
-  if sat_engine () then
-    match Encode.race_witness (encoder t) a b with
-    | Some (s1, s2) ->
-        ignore (certify t.sk s1);
-        ignore (certify t.sk s2);
-        true
-    | None -> false
-  else Reach.exists_race (reach t) a b
-
-(* ------------------------------------------------------------------ *)
-(* The auto engine: a tiered triage ladder.  Each query tries the
-   attached tier-1 approximation oracle, then the memoized state engine,
-   then the SAT backend, then bounded enumeration — tiers 2–4 each under
-   their own [Budget.sub] slice of the session budget.  A tier that
-   cannot decide (oracle [None], or a slice expiry while the session
-   budget is still alive) escalates to the next; expiry of the session
-   budget itself, or of the final tier, degrades exactly like every
-   other engine (the [_outcome] wrappers below catch it). *)
-
-let auto_engine () = Engine.current () = Engine.Auto
-let set_oracle t o = t.oracle <- Some o
-let has_oracle t = t.oracle <> None
-
-let auto_reach t =
-  match t.auto_reach with
-  | Some r -> r
-  | None ->
-      let b =
-        Budget.sub t.budget ~node_budget:(Config.triage_reach_nodes ()) ()
-      in
-      let r = Reach.create ~stats:t.c ~budget:b t.sk in
-      t.auto_reach <- Some r;
-      r
-
-(* The SAT tier compiles one two-copy-capable formula; past this many
-   events the encoding itself dwarfs the other tiers, so the ladder
-   skips straight to enumeration (no escalation counted: the tier is
-   absent, not defeated). *)
-let auto_sat_cap = 128
-
-let auto_encoder t =
-  if t.sk.Skeleton.n > auto_sat_cap then None
-  else
-    match t.auto_encoder with
-    | Some e -> Some e
-    | None ->
-        let b =
-          Budget.sub t.budget
-            ~conflict_budget:(Config.triage_sat_conflicts ())
-            ()
-        in
-        let e = Encode.build ~stats:t.c ~budget:b (encode_program t.sk) in
-        t.auto_encoder <- Some e;
-        Some e
-
-let auto_enum_budget t =
-  match t.auto_enum_budget with
-  | Some b -> b
-  | None ->
-      let b =
-        Budget.sub t.budget ~node_budget:(Config.triage_enum_nodes ()) ()
-      in
-      t.auto_enum_budget <- Some b;
-      b
-
-let auto_enum_reach t =
-  match t.auto_enum_reach with
-  | Some r -> r
-  | None ->
-      let r = Reach.create ~stats:t.c ~budget:(auto_enum_budget t) t.sk in
-      t.auto_enum_reach <- Some r;
-      r
-
-(* A tier failed to decide.  If the *session* budget is gone this is a
-   real expiry (re-raised, degraded by the outcome layer); otherwise
-   count the escalation and let the caller try the next tier. *)
-let escalate t =
-  Budget.raise_if_exhausted t.budget;
-  Counters.bump t.c Counters.Triage_escalations
-
-let try_tier t f =
-  match f () with v -> Some v | exception Budget.Expired -> escalate t; None
-
-let oracle_verdict t f =
-  match t.oracle with
-  | None -> None
-  | Some o -> (
-      match f o with
-      | Some v ->
-          Counters.bump t.c Counters.Triage_approx_hits;
-          Some v
-      | None ->
-          escalate t;
-          None)
-
-let sat_tier t probe =
-  match auto_encoder t with
-  | None -> None
-  | Some enc -> (
-      match try_tier t (fun () -> probe enc) with
-      | Some v ->
-          Counters.bump t.c Counters.Triage_sat_hits;
-          Some v
-      | None -> None)
-
-let reach_tier t f =
-  match try_tier t (fun () -> f (auto_reach t)) with
-  | Some v ->
-      Counters.bump t.c Counters.Triage_reach_hits;
-      Some v
-  | None -> None
-
-let enum_hit t v =
-  Counters.bump t.c Counters.Triage_enum_hits;
-  v
-
-let memo_pair t kind a b compute =
-  let key = (kind, a, b) in
-  match Hashtbl.find_opt t.auto_memo key with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      Hashtbl.add t.auto_memo key v;
-      v
-
-(* Tier 4 for the ordering queries: plain bounded schedule enumeration.
-   A completed walk is exact (the search space is finite); a budget trip
-   propagates as [Expired]. *)
-let scan_before schedule a b =
-  let n = Array.length schedule in
-  let rec scan i =
-    if i >= n then false
-    else if schedule.(i) = a then true
-    else if schedule.(i) = b then false
-    else scan (i + 1)
-  in
-  scan 0
-
-let enum_exists_before t a b =
-  let found = ref false in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        if scan_before schedule a b then begin
-          found := true;
-          raise Enumerate.Stop
-        end)
-  in
-  !found
-
-let enum_witness_before t a b =
-  let witness = ref None in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        if scan_before schedule a b then begin
-          witness := Some (Array.copy schedule);
-          raise Enumerate.Stop
-        end)
-  in
-  !witness
-
-let enum_must_before t a b =
-  let any = ref false and contra = ref false in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        any := true;
-        if scan_before schedule b a then begin
-          contra := true;
-          raise Enumerate.Stop
-        end)
-  in
-  !any && not !contra
-
-let enum_feasible t =
-  let any = ref false in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk (fun _ ->
-        any := true;
-        raise Enumerate.Stop)
-  in
-  !any
-
-let auto_exists_before t a b =
-  if a = b then false
-  else
-    memo_pair t 'b' a b @@ fun () ->
-    match oracle_verdict t (fun o -> o.o_exists_before a b) with
-    | Some v -> v
-    | None -> (
-        match reach_tier t (fun r -> Reach.exists_before r a b) with
-        | Some v -> v
-        | None -> (
-            match
-              sat_tier t (fun enc ->
-                  match Encode.exists_before_witness enc a b with
-                  | Some s ->
-                      ignore (certify t.sk s);
-                      true
-                  | None -> false)
-            with
-            | Some v -> v
-            | None -> enum_hit t (enum_exists_before t a b)))
-
-let auto_witness_before t a b =
-  if a = b then None
-  else
-    (* No memo (the witness schedule is not worth retaining) and no
-       oracle tier: the approximations prove bits, not schedules. *)
-    match reach_tier t (fun r -> Reach.witness_before r a b) with
-    | Some w -> w
-    | None -> (
-        match
-          sat_tier t (fun enc ->
-              Option.map (certify t.sk) (Encode.exists_before_witness enc a b))
-        with
-        | Some w -> w
-        | None -> enum_hit t (enum_witness_before t a b))
-
-let auto_feasible_exists t =
-  memo_pair t 'f' 0 0 @@ fun () ->
-  match oracle_verdict t (fun o -> o.o_feasible ()) with
-  | Some v -> v
-  | None -> (
-      match reach_tier t Reach.feasible_exists with
+(* The auto ladder answers each query once per session, and a pair
+   [a = b] without consulting a tier (its oracle would count a hit, and
+   [Reach] a query); the exact engines keep every call on the engine,
+   where it is counted. *)
+let ask t q =
+  match t.memo with
+  | None -> decide t.ladder q
+  | Some memo -> (
+      match Hashtbl.find_opt memo q with
       | Some v -> v
-      | None -> (
-          match
-            sat_tier t (fun enc ->
-                match Encode.feasible_witness enc with
-                | Some s ->
-                    ignore (certify t.sk s);
-                    true
-                | None -> false)
-          with
-          | Some v -> v
-          | None -> enum_hit t (enum_feasible t)))
+      | None ->
+          let v = decide t.ladder q in
+          Hashtbl.add memo q v;
+          v)
 
-let auto_must_before t a b =
-  if a = b then false
-  else
-    memo_pair t 'm' a b @@ fun () ->
-    match oracle_verdict t (fun o -> o.o_must_before a b) with
-    | Some v -> v
-    | None -> (
-        match reach_tier t (fun r -> Reach.must_before r a b) with
-        | Some v -> v
-        | None -> (
-            match
-              sat_tier t (fun enc ->
-                  match Encode.feasible_witness enc with
-                  | None -> false
-                  | Some s -> (
-                      ignore (certify t.sk s);
-                      match Encode.exists_before_witness enc b a with
-                      | Some s' ->
-                          ignore (certify t.sk s');
-                          false
-                      | None -> true))
-            with
-            | Some v -> v
-            | None -> enum_hit t (enum_must_before t a b)))
-
-let auto_exists_race t a b =
-  if a = b then false
-  else
-    memo_pair t 'r' a b @@ fun () ->
-    match oracle_verdict t (fun o -> o.o_race a b) with
-    | Some v -> v
-    | None -> (
-        match reach_tier t (fun r -> Reach.exists_race r a b) with
-        | Some v -> v
-        | None -> (
-            match
-              sat_tier t (fun enc ->
-                  match Encode.race_witness enc a b with
-                  | Some (s1, s2) ->
-                      ignore (certify t.sk s1);
-                      ignore (certify t.sk s2);
-                      true
-                  | None -> false)
-            with
-            | Some v -> v
-            | None ->
-                enum_hit t (Reach.exists_race (auto_enum_reach t) a b)))
-
-(* Route the per-pair primitives through the ladder when the auto
-   engine is selected. *)
-let exists_before t a b =
-  if auto_engine () then auto_exists_before t a b else exists_before t a b
+let ask_pair t a b q = if a = b && t.memo <> None then false else ask t q
+let feasible_exists t = ask t Feasible
+let exists_before t a b = ask_pair t a b (Before (a, b))
+let must_before t a b = ask_pair t a b (Must (a, b))
+let exists_race t a b = ask_pair t a b (Race (a, b))
 
 let witness_before t a b =
-  if auto_engine () then auto_witness_before t a b else witness_before t a b
-
-let feasible_exists t =
-  if auto_engine () then auto_feasible_exists t else feasible_exists t
-
-let must_before t a b =
-  if auto_engine () then auto_must_before t a b else must_before t a b
-
-let exists_race t a b =
-  if auto_engine () then auto_exists_race t a b else exists_race t a b
+  if a = b && t.memo <> None then None else decide t.ladder (Witness (a, b))
 
 let worker_counters c = if Counters.enabled c then Counters.create () else Counters.null
 
@@ -546,8 +435,8 @@ let cache_enabled t = t.cache.memory || t.cache.dir <> None
    can never cross models. *)
 let entry_key t ~kind =
   Printf.sprintf "%s.%s.%s.%s.%s" (Lazy.force t.key).Program_key.hash kind
-    (Engine.to_string (Engine.current ()))
-    (Memmodel.to_string (Memmodel.current ()))
+    (Engine.to_string t.engine)
+    (Memmodel.to_string t.sk.Skeleton.model)
     (match t.limit with None -> "nolimit" | Some l -> string_of_int l)
 
 let cache_version = "eocache/1"
@@ -688,143 +577,91 @@ let parallel_instances consumers =
 
 let needs_po consumers = List.exists (fun (C r) -> r.needs_po) consumers
 
-let run_full t =
-  match t.pending_full with
-  | [] -> ()
-  | pending ->
-      t.pending_full <- [];
-      let consumers = List.rev pending in
-      let c = t.c in
-      set_run t;
-      Counters.bump c Counters.Session_passes;
-      Counters.time c Counters.T_total @@ fun () ->
-      let sk = t.sk in
-      let with_po = needs_po consumers in
-      let po_opt schedule =
-        if with_po then Some (Pinned.po_of_schedule sk schedule) else None
-      in
-      let run_sequential () =
+(* One pass: a single walk drives every fold registered on it.  [walk]
+   is the sequential walk (stopping at the session [limit]); [split]
+   cuts the tree into subtree tasks for [walk_task], run in parallel
+   when the session may (packed engine, no limit, jobs > 1).  The pass's
+   (visited, truncated) goes to [record]. *)
+let run_pass t pending ~walk ~split ~walk_task ~record =
+  if pending <> [] then begin
+    let consumers = List.rev pending in
+    let c = t.c and sk = t.sk in
+    set_run t;
+    Counters.bump c Counters.Session_passes;
+    Counters.time c Counters.T_total @@ fun () ->
+    let po_opt =
+      if needs_po consumers then fun s -> Some (Pinned.po_of_schedule sk s)
+      else fun _ -> None
+    in
+    let apply insts schedule =
+      let po = po_opt schedule in
+      List.iter (fun (apply, _) -> apply schedule po) insts
+    in
+    let finish insts = List.iter (fun (_, finish) -> finish ()) insts in
+    let parallel = t.jobs > 1 && t.limit = None && t.engine = Engine.Packed in
+    match if parallel then split () else None with
+    | None ->
         let insts = sequential_instances consumers in
         let count =
-          Counters.time c Counters.T_enumerate (fun () ->
-              Enumerate.iter ?limit:t.limit ~stats:c ~budget:t.budget sk
-                (fun schedule ->
-                  let po = po_opt schedule in
-                  List.iter (fun (apply, _) -> apply schedule po) insts))
+          Counters.time c Counters.T_enumerate (fun () -> walk (apply insts))
         in
         let truncated =
           (match t.limit with Some l -> count >= l | None -> false)
           || Budget.exhausted t.budget
         in
-        t.full_stats <- Some (count, truncated);
-        List.iter (fun (_, finish) -> finish ()) insts
-      in
-      let parallel = t.jobs > 1 && t.limit = None && Engine.current () = Engine.Packed in
-      if not parallel then run_sequential ()
-      else begin
-        match Parallel.split_prefixes ~stats:c sk ~jobs:t.jobs with
-        | None -> run_sequential ()
-        | Some (depth, prefixes) ->
-            Option.iter (fun tel -> Telemetry.set_split_depth tel depth) t.stats;
-            let insts = parallel_instances consumers in
-            let results =
-              Counters.time c Counters.T_enumerate (fun () ->
-                  Parallel.map ?telemetry:t.stats ~budget:t.budget ~jobs:t.jobs
-                    (fun prefix ->
-                      let wc = worker_counters c in
-                      let tasks = List.map (fun (make_task, _) -> make_task ()) insts in
-                      let count =
-                        Enumerate.iter_from ~stats:wc ~budget:t.budget sk ~prefix
-                          (fun schedule ->
-                            let po = po_opt schedule in
-                            List.iter (fun (apply, _) -> apply schedule po) tasks)
-                      in
-                      (count, List.map snd tasks, wc))
-                    prefixes)
-            in
-            Option.iter
-              (fun tel ->
-                Telemetry.set_task_schedules tel (Array.map (fun (k, _, _) -> k) results))
-              t.stats;
-            let total =
-              Array.fold_left
-                (fun total (count, commits, wc) ->
-                  Counters.bump c Counters.Par_merges;
-                  Counters.merge_into ~dst:c wc;
-                  List.iter (fun commit -> commit ()) commits;
-                  total + count)
-                0 results
-            in
-            t.full_stats <- Some (total, Budget.exhausted t.budget);
-            List.iter (fun (_, finish) -> finish ()) insts
-      end
+        record (count, truncated);
+        finish insts
+    | Some (depth, tasks) ->
+        Option.iter (fun tel -> Telemetry.set_split_depth tel depth) t.stats;
+        let insts = parallel_instances consumers in
+        let results =
+          Counters.time c Counters.T_enumerate (fun () ->
+              Parallel.map ?telemetry:t.stats ~budget:t.budget ~jobs:t.jobs
+                (fun task ->
+                  let wc = worker_counters c in
+                  let tinsts = List.map (fun (make_task, _) -> make_task ()) insts in
+                  (walk_task wc task (apply tinsts), List.map snd tinsts, wc))
+                tasks)
+        in
+        Option.iter
+          (fun tel ->
+            Telemetry.set_task_schedules tel (Array.map (fun (k, _, _) -> k) results))
+          t.stats;
+        let total =
+          Array.fold_left
+            (fun total (count, commits, wc) ->
+              Counters.bump c Counters.Par_merges;
+              Counters.merge_into ~dst:c wc;
+              List.iter (fun commit -> commit ()) commits;
+              total + count)
+            0 results
+        in
+        record (total, Budget.exhausted t.budget);
+        finish insts
+  end
+
+let run_full t =
+  let pending = t.pending_full in
+  t.pending_full <- [];
+  run_pass t pending
+    ~walk:
+      (Enumerate.iter ?limit:t.limit ~stats:t.c ~budget:t.budget
+         ~engine:t.engine t.sk)
+    ~split:(fun () -> Parallel.split_prefixes ~stats:t.c t.sk ~jobs:t.jobs)
+    ~walk_task:(fun wc prefix ->
+      Enumerate.iter_from ~stats:wc ~budget:t.budget t.sk ~prefix)
+    ~record:(fun s -> t.full_stats <- Some s)
 
 let run_por t =
-  match t.pending_por with
-  | [] -> ()
-  | pending ->
-      t.pending_por <- [];
-      let consumers = List.rev pending in
-      let c = t.c in
-      set_run t;
-      Counters.bump c Counters.Session_passes;
-      Counters.time c Counters.T_total @@ fun () ->
-      let sk = t.sk in
-      let run_sequential () =
-        let insts = sequential_instances consumers in
-        let reps =
-          Counters.time c Counters.T_enumerate (fun () ->
-              Por.iter_representatives ?limit:t.limit ~stats:c ~budget:t.budget
-                sk (fun schedule ->
-                  let po = Some (Pinned.po_of_schedule sk schedule) in
-                  List.iter (fun (apply, _) -> apply schedule po) insts))
-        in
-        let truncated =
-          (match t.limit with Some l -> reps >= l | None -> false)
-          || Budget.exhausted t.budget
-        in
-        t.por_stats <- Some (reps, truncated);
-        List.iter (fun (_, finish) -> finish ()) insts
-      in
-      let parallel = t.jobs > 1 && t.limit = None && Engine.current () = Engine.Packed in
-      if not parallel then run_sequential ()
-      else begin
-        match Parallel.split_por_tasks ~stats:c sk ~jobs:t.jobs with
-        | None -> run_sequential ()
-        | Some (depth, tasks) ->
-            Option.iter (fun tel -> Telemetry.set_split_depth tel depth) t.stats;
-            let insts = parallel_instances consumers in
-            let parts =
-              Counters.time c Counters.T_enumerate (fun () ->
-                  Parallel.map ?telemetry:t.stats ~budget:t.budget ~jobs:t.jobs
-                    (fun task ->
-                      let wc = worker_counters c in
-                      let tinsts = List.map (fun (make_task, _) -> make_task ()) insts in
-                      let reps =
-                        Por.iter_task ~stats:wc ~budget:t.budget sk task
-                          (fun schedule ->
-                            let po = Some (Pinned.po_of_schedule sk schedule) in
-                            List.iter (fun (apply, _) -> apply schedule po) tinsts)
-                      in
-                      (reps, List.map snd tinsts, wc))
-                    tasks)
-            in
-            Option.iter
-              (fun tel ->
-                Telemetry.set_task_schedules tel (Array.map (fun (r, _, _) -> r) parts))
-              t.stats;
-            let total =
-              Array.fold_left
-                (fun total (reps, commits, wc) ->
-                  Counters.bump c Counters.Par_merges;
-                  Counters.merge_into ~dst:c wc;
-                  List.iter (fun commit -> commit ()) commits;
-                  total + reps)
-                0 parts
-            in
-            t.por_stats <- Some (total, Budget.exhausted t.budget);
-            List.iter (fun (_, finish) -> finish ()) insts
-      end
+  let pending = t.pending_por in
+  t.pending_por <- [];
+  run_pass t pending
+    ~walk:
+      (Por.iter_representatives ?limit:t.limit ~stats:t.c ~budget:t.budget
+         ~engine:t.engine t.sk)
+    ~split:(fun () -> Parallel.split_por_tasks ~stats:t.c t.sk ~jobs:t.jobs)
+    ~walk_task:(fun wc task -> Por.iter_task ~stats:wc ~budget:t.budget t.sk task)
+    ~record:(fun s -> t.por_stats <- Some s)
 
 (* ------------------------------------------------------------------ *)
 (* Registration. *)
@@ -1017,7 +854,7 @@ let compute_summary_reduced t =
   let c = t.c in
   set_run t;
   let reach = reach t in
-  let parallel = t.jobs > 1 && Engine.current () = Engine.Packed in
+  let parallel = t.jobs > 1 && t.engine = Engine.Packed in
   let before_some = Rel.create n in
   (* Happened-before bits: n² reachability queries.  Parallel mode splits
      the rows into one contiguous block per worker, each with its own
@@ -1045,7 +882,7 @@ let compute_summary_reduced t =
       Counters.time c Counters.T_before (fun () ->
           (* Expiry mid-fill leaves the rows already decided in place:
              a sound under-approximation of the could-have-before bits. *)
-          if sat_engine () || auto_engine () then (
+          if t.engine = Engine.Sat || t.engine = Engine.Auto then (
             try fill_before_sat before_some with Budget.Expired -> ())
           else if (not parallel) || n < 2 then (
             try fill_before reach before_some 0 (n - 1)
@@ -1111,7 +948,7 @@ let compute_summary_reduced t =
    under — the per-pair outcome wrappers bump in [outcome_of]; the
    whole-trace entry points (summaries, cached blobs) bump here. *)
 let bump_model t =
-  Counters.bump t.c (Memmodel.counter_key (Memmodel.current ()))
+  Counters.bump t.c (Memmodel.counter_key t.sk.Skeleton.model)
 
 let cached_summary t ~kind ~memo ~set_memo ~compute =
   Counters.bump t.c Counters.Session_queries;

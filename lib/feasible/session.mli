@@ -20,11 +20,17 @@
       {!Program_key} canonical content hash in an in-memory LRU and,
       optionally, an on-disk cache ([EO_CACHE_DIR] / [--cache]).  Cache
       entries are versioned and keyed by (program hash, result kind,
-      engine, limit): any mismatch — a different engine, a different
-      enumeration cap, a different program, a future format bump — is a
-      miss, never a wrong answer.  Payloads are stored in canonical
-      event coordinates, so a result cached under one event numbering
-      is served to any renumbering of the same program.
+      engine, memory model, limit): any mismatch — a different engine or
+      model, a different enumeration cap, a different program, a future
+      format bump — is a miss, never a wrong answer.  Payloads are
+      stored in canonical event coordinates, so a result cached under
+      one event numbering is served to any renumbering of the same
+      program.
+
+    A session's engine ({!Engine.current}) and memory model (its
+    skeleton's [model]) are read once, when it is made, and fixed for
+    its whole life: switching either afterwards — on this domain or any
+    other — changes no answer and no counter of an existing session.
 
     Sessions are single-domain objects: create and query them from one
     domain (the passes spawn their own workers internally).  The
@@ -66,6 +72,8 @@ val create :
     [1]) sets the worker-domain count for parallel passes; [cache]
     defaults to {!no_cache}.
 
+    The engine is the domain's {!Engine.current} at this call.
+
     [budget] (default {!Budget.unlimited}) bounds every engine this
     session drives — enumeration and POR walks stop at the deadline like
     a [?limit] hit, reachability and SAT queries abort and degrade.  No
@@ -81,6 +89,9 @@ val of_execution :
 
 val skeleton : t -> Skeleton.t
 val execution : t -> Execution.t
+
+val engine : t -> Engine.t
+(** The engine the session was made under. *)
 
 val key : t -> Program_key.t
 (** The canonical content hash (computed lazily on first use). *)
@@ -100,16 +111,18 @@ val schedule_count : t -> int
     degrades to [0] (the only sound under-count); use
     {!schedule_count_outcome} to tell the cases apart. *)
 
-(** {2 Per-pair ordering queries — engine-routed}
+(** {2 Per-pair ordering queries — the tier ladder}
 
-    The decision-procedure primitives every relation reduces to.  Under
-    [Engine.Naive]/[Engine.Packed] they delegate to the shared {!reach}
-    engine; under [Engine.Sat] they become assumption probes on one
-    compiled feasibility formula ({!Encode.build}, created lazily like
-    {!reach}).  Every positive SAT answer is decoded into a witness
-    schedule and certified by the [Replay] oracle before it is
-    reported — an encoder defect raises [Invalid_argument] rather than
-    returning a wrong answer. *)
+    The decision-procedure primitives every relation reduces to.  Each
+    runs the session engine's ladder, a cost-ordered list of tiers, each
+    of which decides the query or gives way to the next: [Naive] and
+    [Packed] are the shared {!reach} engine alone; [Sat] is one compiled
+    feasibility formula ({!Encode.build}, created lazily like {!reach})
+    probed under assumptions; [Auto] is the triage ladder described
+    below.  Every positive SAT answer is decoded into a witness schedule
+    and certified by the [Replay] oracle before it is reported — an
+    encoder defect raises [Invalid_argument] rather than returning a
+    wrong answer. *)
 
 val feasible_exists : t -> bool
 
@@ -128,14 +141,6 @@ val exists_race : t -> int -> int -> bool
 (** The back-to-back race condition of [Reach.exists_race] on this
     session's skeleton: some reachable state enables [a] and [b], both
     orders step, and both complete. *)
-
-val sat_exists_race :
-  ?stats:Counters.t -> ?budget:Budget.t -> Skeleton.t -> int -> int -> bool
-(** Session-independent SAT race probe: compiles the given skeleton
-    fresh and decides {!exists_race} by the two-copy formula, witnesses
-    replay-certified.  For callers that decide pairs on modified
-    skeletons no session owns (the race layer drops the candidate
-    pair's dependence edges first). *)
 
 (** {2 Outcome-typed queries — deadline-aware}
 
@@ -166,6 +171,9 @@ val schedule_count_outcome : t -> int Budget.outcome
     (counted in [triage_escalations]); answers are counted per tier in
     the [triage_tier_hits_*] counters; session-budget expiry degrades in
     the relation's sound direction exactly as under the other engines.
+    The auto session answers each query once, and [a = b] without a
+    tier.  The race layer's per-pair decisions ({!decide_race}) run the
+    very same ladder, with slices per pair instead of per session.
 
     The oracle itself lives a layer up (the triage library owns the
     approximation devices); sessions only know the verdict shape.  With
@@ -183,6 +191,18 @@ type oracle = {
 
 val set_oracle : t -> oracle -> unit
 val has_oracle : t -> bool
+
+val decide_race :
+  Engine.t -> stats:Counters.t -> budget:Budget.t -> ?oracle:oracle ->
+  Skeleton.t -> int -> int -> bool
+(** One {!exists_race} query on a skeleton no session owns (the race
+    layer decides each candidate pair with the pair's own dependence
+    edges dropped), by the same ladder a session of that engine runs:
+    built fresh for this one pair — its own engines and budget slices —
+    with [oracle] as tier 1 under [Auto].  The state engines' memo
+    statistics are committed to [stats] before returning.
+    @raise Budget.Expired when [budget] runs out; the caller
+    degrades. *)
 
 val encode_program : Skeleton.t -> Encode.program
 (** The projection the SAT backend compiles — exported so the CLI's

@@ -1,5 +1,6 @@
 type t = {
   execution : Execution.t;
+  model : Memmodel.t;
   n : int;
   po_preds : int list array;
   po_succs : int list array;
@@ -39,6 +40,7 @@ let of_execution (x : Execution.t) =
     x.Execution.dependences;
   {
     execution = x;
+    model;
     n;
     po_preds;
     po_succs;
@@ -48,6 +50,15 @@ let of_execution (x : Execution.t) =
     sem_binary = Array.copy x.Execution.sem_binary;
     ev_init = Array.copy x.Execution.ev_init;
   }
+
+let without_pair sk e1 e2 =
+  let dependences = Rel.copy sk.execution.Execution.dependences in
+  Rel.remove dependences e1 e2;
+  Rel.remove dependences e2 e1;
+  let dep_preds = Array.copy sk.dep_preds in
+  dep_preds.(e1) <- List.filter (fun p -> p <> e2) dep_preds.(e1);
+  dep_preds.(e2) <- List.filter (fun p -> p <> e1) dep_preds.(e2);
+  { sk with execution = { sk.execution with Execution.dependences }; dep_preds }
 
 let constraint_graph sk =
   let g = Digraph.create sk.n in

@@ -11,6 +11,8 @@
 
 type t = {
   execution : Execution.t;
+  model : Memmodel.t;
+      (** the memory model whose preserved program order [po_preds] holds *)
   n : int;  (** number of events *)
   po_preds : int list array;  (** immediate program-order predecessors *)
   po_succs : int list array;
@@ -22,6 +24,16 @@ type t = {
 }
 
 val of_execution : Execution.t -> t
+(** The skeleton under the domain's current memory model
+    ({!Memmodel.current}), read once here: every engine that runs on the
+    skeleton afterwards — on any domain — works under [model]. *)
+
+val without_pair : t -> int -> int -> t
+(** [without_pair sk e1 e2]: the same skeleton with the dependence edges
+    between [e1] and [e2] dropped (both directions) — equal to
+    [of_execution] on the execution without them, under [sk.model].  The
+    race layer decides each candidate pair on one of these: the pair's
+    own ordering is exactly what is in question. *)
 
 val constraint_graph : t -> Digraph.t
 (** Program-order and dependence edges as one digraph (synchronization

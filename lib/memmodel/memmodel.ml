@@ -22,9 +22,9 @@ let default_of_env () =
    parser) so the CLI, bench and tests all see one switch and [set]
    overrides it.  Domain-local rather than a global ref for the same
    reason as [Engine.selected]: a server worker pool honours a
-   per-request model without the domains racing on one cell, and
-   [Parallel.map] re-seeds its workers from the coordinating domain's
-   choice. *)
+   per-request model without the domains racing on one cell.  A
+   skeleton reads it once, when it is made; nothing a worker domain
+   runs reads it again. *)
 let selected : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () =

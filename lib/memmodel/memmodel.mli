@@ -27,8 +27,9 @@
 
     The selected model is domain-local state exactly like
     [Engine.current]: resolved lazily from [EO_MODEL] (shared [Config]
-    parser), overridden per-request by [set], re-seeded into
-    [Parallel.map] workers. *)
+    parser) and overridden per-request by [set].  A skeleton reads it
+    once, when it is made ([Skeleton.of_execution]), and carries it as
+    its [model] field from then on. *)
 
 type t = Sc | Tso | Pso
 
@@ -54,7 +55,8 @@ val current : unit -> t
 
 val set : t -> unit
 (** Override the domain-local selection (CLI flag, per-request model,
-    differential tests). *)
+    differential tests): picks the model of the skeletons — and so of
+    the sessions — made after it on this domain. *)
 
 val counter_key : t -> Counters.key
 (** The per-model query counter ([Model_queries_sc] etc.). *)

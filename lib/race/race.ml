@@ -31,122 +31,34 @@ let apparent_races x =
   let vc = Vclock.of_execution x in
   List.filter (fun r -> Vclock.concurrent vc r.e1 r.e2) (conflicting_pairs x)
 
-(* Feasibility with the candidate pair's own dependence edges removed: the
-   pair's ordering is exactly what is in question, so requiring it to be
-   preserved would beg the answer. *)
-let skeleton_without_pair x e1 e2 =
-  let dependences = Rel.copy x.Execution.dependences in
-  Rel.remove dependences e1 e2;
-  Rel.remove dependences e2 e1;
-  Skeleton.of_execution { x with Execution.dependences }
+(* Only the auto ladder consults tier 1, so only it pays for the
+   per-execution devices — built once, immutable, shared by every
+   candidate decision on every worker domain. *)
+let tier1 engine sk =
+  if engine = Engine.Auto then Some (Triage.race_oracle sk) else None
 
-(* The auto engine's per-pair ladder on a modified skeleton: the tier-1
-   oracle (a po+sync-only clock plus the replay-certified prefix-enabled
-   certificate — both sound on dep-dropped skeletons), then the state
-   engine, the SAT backend and an enumeration-scale state search, each
-   under its own [Budget.sub] slice.  A slice expiry escalates while the
-   caller's budget is alive; real expiry degrades to "no race" in the
-   caller's [expired] direction. *)
-let auto_sat_cap = 128
-
-let auto_is_feasible_race ~tier1 ~stats ~budget ~expired x sk e1 e2 =
-  let escalate () =
-    if Budget.exhausted budget then None
-    else begin
-      Counters.bump stats Counters.Triage_escalations;
-      Some ()
-    end
-  in
-  let reach_tier node_budget hit =
-    let slice = Budget.sub budget ~node_budget () in
-    let reach = Reach.create ~stats ~budget:slice sk in
-    let v = try Some (Reach.exists_race reach e1 e2) with Budget.Expired -> None in
-    Reach.stats_commit reach;
-    Option.iter (fun _ -> Counters.bump stats hit) v;
-    v
-  in
-  let sat_tier () =
-    if sk.Skeleton.n > auto_sat_cap then None
-    else begin
-      let slice =
-        Budget.sub budget ~conflict_budget:(Config.triage_sat_conflicts ()) ()
-      in
-      match Session.sat_exists_race ~stats ~budget:slice sk e1 e2 with
-      | v ->
-          Counters.bump stats Counters.Triage_sat_hits;
-          Some v
-      | exception Budget.Expired -> None
-    end
-  in
-  let oracle = match tier1 with Some f -> f | None -> Triage.race_oracle x in
-  match oracle sk e1 e2 with
-  | Some v ->
-      Counters.bump stats Counters.Triage_approx_hits;
-      v
-  | None -> (
-      match escalate () with
-      | None -> expired ()
-      | Some () -> (
-          match
-            reach_tier (Config.triage_reach_nodes ()) Counters.Triage_reach_hits
-          with
-          | Some v -> v
-          | None -> (
-              match escalate () with
-              | None -> expired ()
-              | Some () -> (
-                  match sat_tier () with
-                  | Some v -> v
-                  | None -> (
-                      (* The SAT tier is absent past the size gate; only a
-                         defeated tier counts an escalation. *)
-                      match
-                        if sk.Skeleton.n > auto_sat_cap then Some ()
-                        else escalate ()
-                      with
-                      | None -> expired ()
-                      | Some () -> (
-                          match
-                            reach_tier
-                              (Config.triage_enum_nodes ())
-                              Counters.Triage_enum_hits
-                          with
-                          | Some v -> v
-                          | None -> expired ()))))))
-
-(* One candidate pair.  Without a [limit] the memoized state engine
-   decides it; with one, the reference path — capped schedule enumeration
-   plus pinned-order incomparability — runs instead (the uniform [?limit]
-   semantics: capped enumeration, sound under-reporting). *)
-let is_feasible_race ?limit ?(stats = Counters.null)
-    ?(budget = Budget.unlimited) ?tier1 x e1 e2 =
-  let sk = skeleton_without_pair x e1 e2 in
-  (* Budget expiry degrades a pair to "no race" — the same sound
-     under-reporting direction as [?limit]'s capped enumeration. *)
-  let expired () =
-    Counters.bump stats Counters.Timeout_expirations;
-    false
-  in
+(* One candidate pair, decided on the shared skeleton with the pair's own
+   dependence edges dropped: its ordering is exactly what is in question,
+   so requiring it to be preserved would beg the answer.  Without a
+   [limit] the engine's ladder decides it; with one, the reference path
+   — capped schedule enumeration plus pinned-order incomparability —
+   runs instead (the uniform [?limit] semantics: capped enumeration,
+   sound under-reporting).  Budget expiry degrades the pair to "no
+   race", the same sound direction. *)
+let decide_pair ?limit ~engine ~stats ~budget ~tier1 sk e1 e2 =
+  let sk = Skeleton.without_pair sk e1 e2 in
   match limit with
-  | None ->
-      if Engine.current () = Engine.Auto then
-        auto_is_feasible_race ~tier1 ~stats ~budget ~expired x sk e1 e2
-      else if Engine.current () = Engine.Sat then (
-        try Session.sat_exists_race ~stats ~budget sk e1 e2
-        with Budget.Expired -> expired ())
-      else begin
-        let reach = Reach.create ~stats ~budget sk in
-        let v =
-          try Reach.exists_race reach e1 e2
-          with Budget.Expired -> expired ()
-        in
-        Reach.stats_commit reach;
-        v
-      end
+  | None -> (
+      let oracle = Option.map (fun f -> f sk) tier1 in
+      match Session.decide_race engine ~stats ~budget ?oracle sk e1 e2 with
+      | v -> v
+      | exception Budget.Expired ->
+          Counters.bump stats Counters.Timeout_expirations;
+          false)
   | Some _ ->
       let found = ref false in
       let (_ : int) =
-        Enumerate.iter ?limit ~stats ~budget sk (fun schedule ->
+        Enumerate.iter ?limit ~stats ~budget ~engine sk (fun schedule ->
             let po = Pinned.po_of_schedule sk schedule in
             if (not (Rel.mem po e1 e2)) && not (Rel.mem po e2 e1) then begin
               found := true;
@@ -155,40 +67,44 @@ let is_feasible_race ?limit ?(stats = Counters.null)
       in
       !found
 
-let race_witness x e1 e2 =
-  Reach.race_witness (Reach.create (skeleton_without_pair x e1 e2)) e1 e2
+let is_feasible_race ?limit ?(stats = Counters.null)
+    ?(budget = Budget.unlimited) x e1 e2 =
+  let engine = Engine.current () and sk = Skeleton.of_execution x in
+  decide_pair ?limit ~engine ~stats ~budget ~tier1:(tier1 engine sk) sk e1 e2
 
-let compute_feasible ?limit ~jobs ?stats ?(budget = Budget.unlimited) x =
+let race_witness x e1 e2 =
+  let sk = Skeleton.without_pair (Skeleton.of_execution x) e1 e2 in
+  Reach.race_witness (Reach.create sk) e1 e2
+
+let compute_feasible session =
+  let sk = Session.skeleton session and engine = Session.engine session in
+  let jobs = Session.jobs session and budget = Session.budget session in
+  let stats = Session.telemetry session in
   let c =
     match stats with
     | None -> Counters.null
     | Some tel ->
-        Telemetry.set_run tel
-          ~engine:(Engine.to_string (Engine.current ()))
-          ~jobs;
+        Telemetry.set_run tel ~engine:(Engine.to_string engine) ~jobs;
         Telemetry.counters tel
   in
   Counters.time c Counters.T_total @@ fun () ->
-  let candidates = Array.of_list (conflicting_pairs x) in
+  let candidates = Array.of_list (conflicting_pairs sk.Skeleton.execution) in
   (* Each candidate decision builds its own engines from scratch (the
-     pair's dependence edges are dropped, so the session's shared
-     skeleton does not apply), so the per-pair work is independent
-     whatever [jobs] is — worker counters merge in candidate order and
-     every counter (memo statistics included) is identical to the
-     sequential run's. *)
-  (* Under the auto engine the tier-1 devices (clock, observed replay)
-     are shared across candidates: built once here, consulted by every
-     per-pair decision (they are immutable after construction, so the
-     parallel fan-out shares them safely). *)
-  let tier1 =
-    if Engine.current () = Engine.Auto then Some (Triage.race_oracle x)
-    else None
-  in
+     pair's dependence edges are dropped, so the session's own engines
+     do not apply), so the per-pair work is independent whatever [jobs]
+     is — worker counters merge in candidate order and every counter
+     (memo statistics included) is identical to the sequential run's.
+     The workers read the session's skeleton and engine, never the
+     domain-local switches. *)
+  let tier1 = tier1 engine sk in
   let verdicts =
     Parallel.map ?telemetry:stats ~budget ~jobs
       (fun r ->
         let wc = if Counters.enabled c then Counters.create () else Counters.null in
-        let v = is_feasible_race ?limit ~stats:wc ~budget ?tier1 x r.e1 r.e2 in
+        let v =
+          decide_pair ?limit:(Session.limit session) ~engine ~stats:wc ~budget
+            ~tier1 sk r.e1 r.e2
+        in
         (v, wc))
       candidates
   in
@@ -257,16 +173,10 @@ let decode_races key payload =
           with Failure _ -> None))
 
 let feasible_races_session session =
-  let x = Session.execution session in
-  let jobs = Session.jobs session in
   let computed = ref None in
   let payload =
     Session.cached_blob session ~kind:"races" (fun () ->
-        let races =
-          compute_feasible ?limit:(Session.limit session) ~jobs
-            ?stats:(Session.telemetry session)
-            ~budget:(Session.budget session) x
-        in
+        let races = compute_feasible session in
         computed := Some races;
         encode_races (Session.key session) races)
   in
@@ -277,9 +187,7 @@ let feasible_races_session session =
       | Some races -> races
       | None ->
           (* Corrupt cache payload: fall back to computing fresh. *)
-          compute_feasible ?limit:(Session.limit session) ~jobs
-            ?stats:(Session.telemetry session)
-            ~budget:(Session.budget session) x)
+          compute_feasible session)
 
 let feasible_races ?limit ?(jobs = 1) ?stats x =
   feasible_races_session
@@ -294,8 +202,10 @@ let mark_outcome session races =
 let feasible_races_session_outcome session =
   mark_outcome session (feasible_races_session session)
 
-let first_of_feasible x races =
-  let vc = Vclock.of_execution x in
+(* The precedence is the observed happened-before order, along the
+   recorded schedule — which must replay ([Vclock.observed]). *)
+let first_of_feasible sk races =
+  let vc = Vclock.observed sk in
   let precedes r1 r2 =
     Vclock.hb vc r1.e1 r2.e1 && Vclock.hb vc r1.e1 r2.e2
     && Vclock.hb vc r1.e2 r2.e1 && Vclock.hb vc r1.e2 r2.e2
@@ -305,13 +215,14 @@ let first_of_feasible x races =
     races
 
 let first_races_session session =
-  first_of_feasible (Session.execution session) (feasible_races_session session)
+  first_of_feasible (Session.skeleton session) (feasible_races_session session)
 
 let first_races_session_outcome session =
   mark_outcome session (first_races_session session)
 
 let first_races ?limit ?(jobs = 1) ?stats x =
-  first_of_feasible x (feasible_races ?limit ~jobs ?stats x)
+  first_races_session
+    (Session.of_execution ?limit ~jobs ?stats ~cache:Session.no_cache x)
 
 let pp_race (x : Execution.t) ppf r =
   let e ppf id = Format.fprintf ppf "%s" x.Execution.events.(id).Event.label in

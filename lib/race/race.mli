@@ -27,17 +27,20 @@ val conflicting_pairs : Execution.t -> race list
 (** All pairs of conflicting computation events (the race candidates). *)
 
 val apparent_races : Execution.t -> race list
-(** Candidates unordered under the observed vector-clock happened-before. *)
+(** Candidates unordered under the observed vector-clock happened-before.
+    @raise Replay.Not_replayable when the recorded schedule does not
+    replay ({!Vclock.observed}). *)
 
 val feasible_races_session : Session.t -> race list
 (** Feasible races through a shared {!Session}.  Race candidates are
     each decided on a {e modified} skeleton (the pair's own dependence
-    edges dropped), so they cannot ride the session's F(P) pass — what
-    the session contributes is its keyed cache: the race set is stored
-    under the session's {!Program_key} (in canonical event coordinates,
-    so any renumbering of the program is a hit) and a warm cache skips
-    the per-pair engines entirely.  Limit/jobs/telemetry come from the
-    session. *)
+    edges dropped from the session's skeleton), so they cannot ride the
+    session's F(P) pass; each runs the ladder of the session's engine
+    ({!Session.decide_race}).  What the session also contributes is its
+    keyed cache: the race set is stored under the session's
+    {!Program_key} (in canonical event coordinates, so any renumbering
+    of the program is a hit) and a warm cache skips the per-pair engines
+    entirely.  Limit/jobs/telemetry come from the session. *)
 
 val feasible_races :
   ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Execution.t -> race list
@@ -56,22 +59,21 @@ val feasible_races :
 
 val is_feasible_race :
   ?limit:int -> ?stats:Counters.t -> ?budget:Budget.t ->
-  ?tier1:(Skeleton.t -> int -> int -> bool option) ->
   Execution.t -> int -> int -> bool
-(** Decide a single candidate pair.  Default: the state engine
-    ({!Reach.exists_race}).  With [?limit]: the enumeration reference
-    path — at most [limit] schedules, testing pinned-order
-    incomparability — which can only under-report; the differential
-    tests cross-validate the two.  [?budget] expiry degrades the pair to
-    [false] (sound under-report, bumping [timeout_expirations]) — never
-    an exception.
-
-    Under [Engine.Auto] the pair runs the triage ladder instead: the
-    tier-1 oracle ([?tier1], e.g. {!Triage.race_oracle} — built fresh
-    when omitted), then the state engine, the SAT backend and an
-    enumeration-scale search, tiers 2–4 each under their own
+(** Decide a single candidate pair by the ladder of the domain's current
+    engine ({!Session.decide_race}, on the execution's skeleton under the
+    current memory model, the pair's dependence edges dropped): the
+    state engine by default, the SAT backend under [Engine.Sat], and
+    under [Engine.Auto] the triage ladder — the tier-1 race oracle
+    ({!Triage.race_oracle}), then the state engine, the SAT backend and
+    an enumeration-scale search, tiers 2–4 each under their own
     [Budget.sub] slice, escalating while the caller's budget is alive
-    (counted in the [triage_*] counters). *)
+    (counted in the [triage_*] counters).  With [?limit]: the
+    enumeration reference path — at most [limit] schedules, testing
+    pinned-order incomparability — which can only under-report; the
+    differential tests cross-validate the two.  [?budget] expiry
+    degrades the pair to [false] (sound under-report, bumping
+    [timeout_expirations]) — never an exception. *)
 
 val race_witness : Execution.t -> int -> int -> (int array * int array) option
 (** Two feasible schedules sharing a prefix and running the pair in
@@ -97,6 +99,8 @@ val first_races :
     both of [r2]'s in the observed execution's happened-before order; a
     non-first race may be an artifact (the earlier race could have changed
     the execution before the later pair ever met), so debugging starts
-    here — the refinement Netzer's later work develops. *)
+    here — the refinement Netzer's later work develops.  The observed
+    order is read along the recorded schedule: @raise
+    Replay.Not_replayable when that schedule does not replay. *)
 
 val pp_race : Execution.t -> Format.formatter -> race -> unit

@@ -76,7 +76,7 @@ let attach session =
          — gate it to the SC model.  The order clock is built from the
          model-filtered skeleton and stays sound under relaxations. *)
       lazy
-        (if sk.Skeleton.n > egp_cap || Memmodel.relaxes (Memmodel.current ())
+        (if sk.Skeleton.n > egp_cap || Memmodel.relaxes sk.Skeleton.model
          then None
          else match Egp.build x with e -> Some e | exception _ -> None)
     in
@@ -129,26 +129,33 @@ let attach session =
    sound for every such modification.  The per-execution devices are
    built once; only the replays run against the pair's own skeleton. *)
 
-let race_oracle x =
+let undecided =
+  {
+    Session.o_feasible = (fun () -> None);
+    o_exists_before = (fun _ _ -> None);
+    o_must_before = (fun _ _ -> None);
+    o_race = (fun _ _ -> None);
+  }
+
+let race_oracle sk0 =
   (* Built eagerly: the closure is shared across the race layer's worker
      domains, where a lazy thunk could be forced concurrently. *)
-  let sk0 = Skeleton.of_execution x in
   let clock = Order_clock.of_skeleton ~with_deps:false sk0 in
   let observed = observed_of sk0 in
   let pos = Option.map positions observed in
-  fun sk a b ->
-    if a = b then Some false
-    else
-      let forced u v =
-        match clock with
-        | Some c -> Order_clock.ordered c u v
-        | None -> false
-      in
-      if forced a b || forced b a then Some false
+  let forced u v =
+    match clock with Some c -> Order_clock.ordered c u v | None -> false
+  in
+  fun sk ->
+    let o_race a b =
+      if a = b then Some false
+      else if forced a b || forced b a then Some false
       else
         match (observed, pos) with
         | Some s, Some p when certify_pair sk s p a b -> Some true
         | _ -> None
+    in
+    { undecided with Session.o_race }
 
 (* ------------------------------------------------------------------ *)
 (* The streaming pipeline. *)

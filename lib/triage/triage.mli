@@ -35,14 +35,15 @@ val attach : Session.t -> unit
     one is already attached).  All devices are built lazily on first
     query, against the session's own skeleton. *)
 
-val race_oracle : Execution.t -> Skeleton.t -> int -> int -> bool option
-(** [race_oracle x] precomputes the per-execution devices (a
-    po+sync-only order clock — sound for every dep-modified skeleton —
-    and the replay-certified observed schedule); the returned closure
-    decides one candidate pair on its modified skeleton: [Some false]
-    when the clock forces an order, [Some true] when the pair is
-    prefix-enabled and both back-to-back orders replay on the modified
-    skeleton, [None] otherwise. *)
+val race_oracle : Skeleton.t -> Skeleton.t -> Session.oracle
+(** [race_oracle sk] precomputes the per-execution devices from the
+    session's skeleton [sk] (a po+sync-only order clock — sound for
+    every dep-modified skeleton — and the replay-certified observed
+    schedule); applied to a candidate pair's modified skeleton, it is
+    that pair's tier 1: [o_race] answers [Some false] when the clock
+    forces an order, [Some true] when the pair is prefix-enabled and
+    both back-to-back orders replay on the modified skeleton, [None]
+    otherwise.  It decides no other query. *)
 
 (** {1 The streaming million-event race pipeline} *)
 
@@ -90,10 +91,11 @@ val races_big :
     scan and marks the report truncated (a sound under-report, in the
     could-have direction).
 
-    Under a relaxing memory model ({!Memmodel.current}) only the
-    model-enforced program-order edges feed the forced-order clock —
-    the sound direction (fewer refutations, certification unaffected);
-    under [sc] the path is the legacy one, bit for bit.
+    Under a relaxing memory model ({!Memmodel.current}, read once per
+    call) only the model-enforced program-order edges feed the
+    forced-order clock — the sound direction (fewer refutations,
+    certification unaffected); under [sc] the path is the legacy one,
+    bit for bit.
 
     [jobs] shards the candidate scan across worker domains in
     contiguous chunks merged in chunk order, so counter totals and the

@@ -71,6 +71,34 @@ let test_budget_deadline_between_tasks () =
   Alcotest.(check bool) "some task saw the trip" true
     (Array.exists (fun b -> b) ys)
 
+let test_budget_deadline_one_domain () =
+  (* The same contract when a single domain drains the tasks — what any
+     request becomes on a one-CPU host — checked on every host. *)
+  let budget = Budget.create ~timeout_ms:1 () in
+  let xs = Array.init 16 (fun i -> i) in
+  let f _ =
+    Unix.sleepf 0.002;
+    Budget.exhausted budget
+  in
+  let ys = Parallel.map ~budget ~jobs:1 f xs in
+  Alcotest.(check int) "total length" 16 (Array.length ys);
+  Alcotest.(check bool) "deadline observed" true (Budget.exhausted budget);
+  Alcotest.(check bool) "later tasks saw the trip" true ys.(15)
+
+let test_domains_capped_at_host () =
+  (* Asking for more workers than the host runs at once still answers
+     exactly, but spawns no more domains than it can run. *)
+  let cpus = Domain.recommended_domain_count () in
+  let xs = Array.init 64 (fun i -> i) in
+  let f i = (i * 7) + 3 in
+  let tel = Telemetry.create () in
+  Alcotest.(check (array int)) "results" (Array.map f xs)
+    (Parallel.map ~telemetry:tel ~jobs:(cpus + 2) f xs);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d domains ran" cpus)
+    true
+    (Array.length (Telemetry.domain_wall_s tel) <= cpus)
+
 let suite =
   [
     Alcotest.test_case "map = Array.map" `Quick test_map_matches_sequential;
@@ -82,4 +110,8 @@ let suite =
       test_budget_map_returns_total_array;
     Alcotest.test_case "deadline observed between tasks" `Quick
       test_budget_deadline_between_tasks;
+    Alcotest.test_case "one domain observes the deadline between tasks"
+      `Quick test_budget_deadline_one_domain;
+    Alcotest.test_case "domains capped at the host's count" `Quick
+      test_domains_capped_at_host;
   ]

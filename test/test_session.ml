@@ -39,6 +39,11 @@ let with_engine engine f =
   Engine.set engine;
   Fun.protect ~finally:(fun () -> Engine.set saved) f
 
+let with_model model f =
+  let saved = Memmodel.current () in
+  Memmodel.set model;
+  Fun.protect ~finally:(fun () -> Memmodel.set saved) f
+
 (* 1. One session with every consumer attached answers exactly like the
    legacy per-call paths, across both engines and worker counts. *)
 let test_session_matches_legacy =
@@ -362,6 +367,69 @@ let test_budget_results_not_cached () =
   same_summary "unbudgeted session after a truncated one" reference fresh;
   Session.clear_memory_cache ()
 
+(* 7. A session keeps the engine and memory model it was made under.
+   Switching both afterwards — to the environment defaults, which is
+   also what a freshly spawned worker domain starts from — must change
+   no answer and no counter: neither the session's own queries nor the
+   race decisions its worker domains run may read the switches. *)
+let keeps_src =
+  "proc p0 { x := 1; assert y = 0; y := 2 }\n\
+   proc p1 { y := 1; assert x = 0; x := 2 }\n\
+   proc p2 { assert x = 1; assert y = 1 }"
+
+let test_session_keeps_its_switches () =
+  let x =
+    match Gen_progs.completed_trace (Parse.program keeps_src) with
+    | Some t -> Trace.to_execution t
+    | None -> Alcotest.fail "fixture program deadlocked"
+  in
+  let n = Execution.n_events x in
+  let run ~switch ~jobs =
+    with_engine Engine.Naive @@ fun () ->
+    with_model Memmodel.Tso @@ fun () ->
+    let tel = Telemetry.create () in
+    let session ?limit () =
+      Session.of_execution ?limit ~jobs ~stats:tel ~cache:Session.no_cache x
+    in
+    let s = session () and capped = session ~limit:2000 () in
+    if switch then begin
+      Engine.set Engine.Packed;
+      Memmodel.set Memmodel.Sc
+    end;
+    let summary = Relations.of_session s in
+    let races =
+      List.map race_key
+        (Race.feasible_races_session s
+        @ Race.first_races_session s
+        @ Race.feasible_races_session capped)
+    in
+    let pairs =
+      List.init (n * n) (fun i ->
+          let a = i / n and b = i mod n in
+          ( Session.exists_before s a b,
+            Session.must_before s a b,
+            Session.exists_race s a b ))
+    in
+    ( summary.Relations.feasible_count,
+      List.map (rel_pairs summary) Relations.all_relations,
+      races,
+      pairs,
+      List.map (Counters.get (Telemetry.counters tel)) Counters.all_keys )
+  in
+  List.iter
+    (fun jobs ->
+      let count, rels, races, pairs, counters = run ~switch:false ~jobs in
+      let count', rels', races', pairs', counters' = run ~switch:true ~jobs in
+      let name what = Printf.sprintf "jobs=%d: %s" jobs what in
+      Alcotest.(check int) (name "feasible count") count count';
+      Alcotest.(check (list (list (pair int int)))) (name "relations") rels rels';
+      Alcotest.(check (list (triple int int (list int)))) (name "races") races
+        races';
+      Alcotest.(check (list (triple bool bool bool))) (name "pair queries")
+        pairs pairs';
+      Alcotest.(check (list int)) (name "counters") counters counters')
+    [ 1; 2 ]
+
 let suite =
   [
     qcheck test_session_matches_legacy;
@@ -376,4 +444,6 @@ let suite =
       test_corrupted_cache_fallback;
     Alcotest.test_case "budget-truncated results are not cached" `Quick
       test_budget_results_not_cached;
+    Alcotest.test_case "a session keeps its engine and model" `Quick
+      test_session_keeps_its_switches;
   ]
