@@ -72,7 +72,7 @@ let e2_theorem1 () =
     Harness.sweep ~budget ~sizes:[ 1; 2; 3; 4 ] (fun n ->
         let formula = Workloads.unsat_chain n in
         let tr, d, a, b = reduction_sem_row formula in
-        let mhb, t_exact = Harness.time_once (fun () -> Decide.mhb d a b) in
+        let mhb, t_exact = Harness.time_once (fun () -> Decide.holds d Relations.MHB a b) in
         let sat, t_dpll =
           Harness.time_once (fun () -> Dpll.is_satisfiable formula)
         in
@@ -99,7 +99,7 @@ let e3_theorem2 () =
       Harness.sweep ~budget ~sizes (fun n ->
           let formula = family n in
           let tr, d, a, b = reduction_sem_row formula in
-          let chb, t = Harness.time_once (fun () -> Decide.chb d b a) in
+          let chb, t = Harness.time_once (fun () -> Decide.holds d Relations.CHB b a) in
           (Trace.n_events tr, chb, t))
     in
     Harness.table
@@ -131,7 +131,7 @@ let e4_theorem3 () =
     Harness.sweep ~budget ~sizes:[ 1; 2; 3 ] (fun n ->
         let formula = Workloads.unsat_chain n in
         let tr, d, a, b = reduction_evt_row formula in
-        let mhb, t = Harness.time_once (fun () -> Decide.mhb d a b) in
+        let mhb, t = Harness.time_once (fun () -> Decide.holds d Relations.MHB a b) in
         (Trace.n_events tr, mhb, t))
   in
   Harness.table ~title:"UNSAT chain family, event-style synchronization"
@@ -148,7 +148,7 @@ let e5_theorem4 () =
     Harness.sweep ~budget ~sizes:[ 1; 2; 3; 4; 5; 6 ] (fun n ->
         let formula = Workloads.sat_chain n in
         let tr, d, a, b = reduction_evt_row formula in
-        let chb, t = Harness.time_once (fun () -> Decide.chb d b a) in
+        let chb, t = Harness.time_once (fun () -> Decide.holds d Relations.CHB b a) in
         (Trace.n_events tr, chb, t))
   in
   Harness.table ~title:"SAT chain family, event-style synchronization"
@@ -175,7 +175,7 @@ let e6_figure1 () =
       (fun (name, a, b) ->
         [
           name;
-          string_of_bool (Decide.mhb d a b);
+          string_of_bool (Decide.holds d Relations.MHB a b);
           string_of_bool (Egp.guaranteed_before egp a b);
         ])
       [
@@ -195,7 +195,7 @@ let e6_figure1 () =
         ( "exact-mhb-pair",
           fun () ->
             let d = Decide.create x in
-            ignore (Decide.mhb d ev.Figure1.post1 ev.Figure1.post2) );
+            ignore (Decide.holds d Relations.MHB ev.Figure1.post1 ev.Figure1.post2) );
       ]
   in
   Harness.table ~title:"cost (per run)"
@@ -271,10 +271,10 @@ let e8_no_deps () =
           { x with Execution.dependences = Rel.create (Execution.n_events x) }
         in
         let with_d, t1 =
-          Harness.time_once (fun () -> Decide.mhb (Decide.create x) a b)
+          Harness.time_once (fun () -> Decide.holds (Decide.create x) Relations.MHB a b)
         in
         let without_d, t2 =
-          Harness.time_once (fun () -> Decide.mhb (Decide.create x_no_d) a b)
+          Harness.time_once (fun () -> Decide.holds (Decide.create x_no_d) Relations.MHB a b)
         in
         [
           string_of_int n;
@@ -400,14 +400,14 @@ let e12_static () =
     let claims = Static_order.claims_on_trace static trace in
     let x = Trace.to_execution trace in
     let d = Decide.create x in
-    let confirmed = List.for_all (fun (a, b) -> Decide.mhb d a b) claims in
+    let confirmed = List.for_all (fun (a, b) -> Decide.holds d Relations.MHB a b) claims in
     let exact_count, t_exact =
       Harness.time_once (fun () ->
           let n = Execution.n_events x in
           let count = ref 0 in
           for a = 0 to n - 1 do
             for b = 0 to n - 1 do
-              if a <> b && Decide.mhb d a b then incr count
+              if a <> b && Decide.holds d Relations.MHB a b then incr count
             done
           done;
           !count)
@@ -914,7 +914,7 @@ let e21_sat_engine () =
             Harness.time_with_stats (fun tel ->
                 Telemetry.set_run tel ~engine:(Engine.to_string engine)
                   ~jobs:1;
-                Decide.mhb (Decide.create ~stats:tel x) a b)
+                Decide.holds (Decide.create ~stats:tel x) Relations.MHB a b)
           in
           let mhb_reach, t_reach, tel_reach = decide Engine.Packed in
           let mhb_sat, t_sat, tel_sat = decide Engine.Sat in
@@ -1162,7 +1162,7 @@ let e16_scorecard () =
   let time_mhb n =
     let tr, d, a, b = reduction_sem_row (Workloads.unsat_chain n) in
     ignore tr;
-    snd (Harness.time_once (fun () -> Decide.mhb d a b))
+    snd (Harness.time_once (fun () -> Decide.holds d Relations.MHB a b))
   in
   let t1 = time_mhb 1 and t2 = time_mhb 2 in
   check "exact MHB grows >= x10 per variable (UNSAT chains)" true
@@ -1175,7 +1175,7 @@ let e16_scorecard () =
   let egp = Egp.build x in
   let d = Decide.create x in
   check "Figure 1: exact proves post1 MHB post2" true
-    (Decide.mhb d ev.Figure1.post1 ev.Figure1.post2);
+    (Decide.holds d Relations.MHB ev.Figure1.post1 ev.Figure1.post2);
   check "Figure 1: task graph misses it" false
     (Egp.guaranteed_before egp ev.Figure1.post1 ev.Figure1.post2);
 

@@ -2,19 +2,31 @@
 
    Subcommands:
      analyze    run a program and print the six Table-1 relation matrices
+     batch      answer many queries about one program from one session
      report     one-shot comprehensive analysis of a program or trace
      explore    all executions of a loop-free program (counts, finals)
      order      decide the relations for one labelled pair, with a witness
      consistent decide rf/co consistency under a memory model, with witness
      schedules  count feasible schedules / states, check for deadlocks
      races      report apparent and feasible data races
+     gen        generate a large synthetic trace
+     encode     compile one per-pair query to DIMACS
      taskgraph  Emrath-Ghosh-Padua task-graph claims vs the exact engine
      reduce     build the Theorem 1/3 reduction program from a DIMACS file
      theorems   machine-check Theorems 1-4 on a formula
      figure1    reproduce the paper's Figure 1 discrepancy
      record     save an observed execution as a *.eotrace file
      dot        render executions / pinned orders / task graphs as DOT
-     fuzz       differential testing of the engines on random programs *)
+     fuzz       differential testing of the engines on random programs
+     serve      answer NDJSON requests over a socket
+     client     send one request to a running server
+
+   Every subcommand resolves its settings through [Api] (lib/api).  The
+   ones with an eventorder.*/1 document (analyze, races, schedules,
+   batch, reduce, consistent) print the document [Api] answers and
+   renders, exiting with its code; the text reports (report, order,
+   taskgraph, encode, dot, ...) call the library directly.  Nothing
+   here spells a schema or picks an engine. *)
 
 open Cmdliner
 
@@ -35,23 +47,9 @@ let policy_arg =
      'priority', or 'random:SEED'."
   in
   let parse s =
-    match s with
-    | "rr" -> Ok Sched.Round_robin
-    | "priority" -> Ok Sched.Priority
-    | _ -> (
-        match String.split_on_char ':' s with
-        | [ "random"; seed ] -> (
-            match int_of_string_opt seed with
-            | Some seed -> Ok (Sched.Random seed)
-            | None -> Error (`Msg "random seed must be an integer"))
-        | _ -> Error (`Msg "expected rr, priority, or random:SEED"))
+    try Ok (Api.policy_of_string s) with Api.Error (_, msg) -> Error (`Msg msg)
   in
-  let print ppf = function
-    | Sched.Round_robin -> Format.pp_print_string ppf "rr"
-    | Sched.Priority -> Format.pp_print_string ppf "priority"
-    | Sched.Random seed -> Format.fprintf ppf "random:%d" seed
-    | Sched.Replay _ -> Format.pp_print_string ppf "replay"
-  in
+  let print ppf p = Format.pp_print_string ppf (Api.policy_to_string p) in
   Arg.(
     value
     & opt (conv (parse, print)) Sched.Round_robin
@@ -61,7 +59,7 @@ let limit_arg =
   let doc =
     "Cap on the number of feasible schedules enumerated (the exact \
      engines are exponential; capped results under-approximate the \
-     could-have relations)."
+     could-have relations).  At least 1."
   in
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
 
@@ -72,6 +70,82 @@ let jobs_arg =
      bit-identical to --jobs 1; only the wall-clock changes."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let engine_arg =
+  let doc =
+    "Exact engine backing the per-pair queries: 'naive' (schedule \
+     enumeration), 'packed' (bitset-packed memoized search, the default), \
+     'sat' (compile feasibility to CNF and decide with the in-repo \
+     CDCL solver; every witness is replay-certified), or 'auto' (tiered \
+     triage: polynomial one-sided deciders first, escalating undecided \
+     queries through reachability, SAT and bounded enumeration, each \
+     tier under its own budget slice).  Overrides the EO_ENGINE \
+     environment variable."
+  in
+  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
+
+let model_arg =
+  let doc =
+    "Memory model governing which program-order edges every feasible \
+     schedule must respect: 'sc' (sequential consistency, the paper's \
+     F1-F3 semantics, the default), 'tso' (total store order: a pure \
+     write may be delayed past later reads of its own process), or \
+     'pso' (partial store order: a pure write may additionally be \
+     delayed past later independent writes).  Synchronization events \
+     fence under every model, and program-ordered accesses of the same \
+     variable stay ordered (per-location coherence).  Overrides the \
+     EO_MODEL environment variable."
+  in
+  Arg.(value & opt (some string) None & info [ "model" ] ~docv:"MODEL" ~doc)
+
+let timeout_arg =
+  let doc =
+    "Wall-clock budget for the exact engines, in milliseconds.  When the \
+     deadline expires the engines stop cooperatively and the command \
+     reports partial results: could-have relations and race sets \
+     under-approximate, must-have relations over-approximate — the same \
+     sound directions as --limit.  JSON output then carries \
+     \"status\": \"timeout\" and the exit code is 3.  Overrides the \
+     EO_TIMEOUT_MS environment variable."
+  in
+  Arg.(value & opt (some int) None & info [ "timeout" ] ~docv:"MS" ~doc)
+
+let cache_arg =
+  let doc =
+    "Directory for the on-disk result cache (created on first store).  \
+     Overrides the EO_CACHE_DIR environment variable.  Entries are keyed \
+     by a canonical program hash plus the engine and enumeration limit, \
+     so a stale hit is impossible; delete the directory to reclaim the \
+     space.  Without this flag and without EO_CACHE_DIR only the \
+     in-process cache is used."
+  in
+  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
+
+let stats_arg =
+  let doc =
+    "Collect engine telemetry (search-node, prune and memo counters, phase \
+     timers, parallel split metadata) and include it in the output.  The \
+     search counters are bit-identical across --jobs settings."
+  in
+  Arg.(value & flag & info [ "stats" ] ~doc)
+
+let format_arg =
+  let doc =
+    "Output format: 'text' (human-readable, the default) or 'json' \
+     (machine-readable; each subcommand emits one object with a 'schema' \
+     field naming its stable layout)."
+  in
+  Arg.(
+    value
+    & opt (enum [ ("text", false); ("json", true) ]) false
+    & info [ "format" ] ~docv:"FMT" ~doc)
+
+let max_events_arg =
+  let doc =
+    "Refuse to run the exponential engines on traces with more events than \
+     this (override consciously)."
+  in
+  Arg.(value & opt int 40 & info [ "max-events" ] ~docv:"N" ~doc)
 
 let print_json doc = print_string (Jsonout.to_string_pretty doc)
 
@@ -91,200 +165,28 @@ let die_error ?(locate = false) ?(code = Api.Usage) ~json fmt =
       exit 2)
     fmt
 
-(* Api failures carry their own code; the exit code stays 2. *)
-let or_die_api ?(json = false) f =
+(* A subcommand body: any [Api.Error] it raises is fatal (exit 2). *)
+let cli ?(json = false) f =
   try f () with Api.Error (code, msg) -> die_error ~code ~json "%s" msg
 
-(* Precedence: --jobs flag > EO_JOBS > 1 — [Config.resolve] over the
-   cached [Config.jobs] reader (which [Parallel.default_jobs] also uses). *)
-let resolve_jobs ?(json = false) = function
-  | Some j when j >= 1 -> j
-  | Some j -> die_error ~json "--jobs must be at least 1 (got %d)" j
-  | None -> Config.resolve ~cli:None ~env:Config.jobs
+(* Prints a document and exits with its code; a partial (timed-out) text
+   report says so on stderr. *)
+let emit ~json (d : Api.doc) =
+  if json then print_json (d.Api.json ()) else d.Api.text Format.std_formatter;
+  if d.Api.exit_code = 3 && not json then
+    Format.eprintf
+      "note: --timeout expired; the results above are partial (sound \
+       approximations)@.";
+  exit d.Api.exit_code
 
-let engine_arg =
-  let doc =
-    "Exact engine backing the per-pair queries: 'naive' (schedule \
-     enumeration), 'packed' (bitset-packed memoized search, the default), \
-     'sat' (compile feasibility to CNF and decide with the in-repo \
-     CDCL solver; every witness is replay-certified), or 'auto' (tiered \
-     triage: polynomial one-sided deciders first, escalating undecided \
-     queries through reachability, SAT and bounded enumeration, each \
-     tier under its own budget slice).  Overrides the EO_ENGINE \
-     environment variable."
-  in
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("naive", Engine.Naive);
-                ("packed", Engine.Packed);
-                ("sat", Engine.Sat);
-                ("auto", Engine.Auto);
-              ]))
-        None
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
+let settings ?engine ?model ?jobs ?limit ?timeout ?cache () =
+  Api.resolve
+    (Api.config_of_flags ?engine ?model ?jobs ?limit ?timeout_ms:timeout
+       ?cache ())
 
-(* Precedence: --engine flag > EO_ENGINE > packed.  The flag is parsed by
-   cmdliner; the env var is validated eagerly here so a typo dies with
-   the list of valid engines instead of silently running packed. *)
-let resolve_engine ?(json = false) = function
-  | Some e -> Engine.set e
-  | None -> (
-      match Sys.getenv_opt "EO_ENGINE" with
-      | None | Some "" -> ()
-      | Some s -> (
-          match Config.engine_of_string s with
-          | Ok name -> (
-              match Engine.of_string name with
-              | Some e -> Engine.set e
-              | None -> ())
-          | Error msg -> die_error ~json "%s" msg))
-
-let model_arg =
-  let doc =
-    "Memory model governing which program-order edges every feasible \
-     schedule must respect: 'sc' (sequential consistency, the paper's \
-     F1-F3 semantics, the default), 'tso' (total store order: a pure \
-     write may be delayed past later reads of its own process), or \
-     'pso' (partial store order: a pure write may additionally be \
-     delayed past later independent writes).  Synchronization events \
-     fence under every model, and program-ordered accesses of the same \
-     variable stay ordered (per-location coherence).  Overrides the \
-     EO_MODEL environment variable."
-  in
-  Arg.(value & opt (some string) None & info [ "model" ] ~docv:"MODEL" ~doc)
-
-(* Precedence: --model flag > EO_MODEL > sc, mirroring [resolve_engine].
-   The flag is deliberately a raw string validated here rather than a
-   cmdliner enum: an unknown model must die with exit 2 and the model
-   vocabulary on the JSON surface too. *)
-let resolve_model ?(json = false) = function
-  | Some s -> (
-      match Memmodel.of_string s with
-      | Some m -> Memmodel.set m
-      | None ->
-          die_error ~json "unknown --model %S (valid models: %s)" s
-            (String.concat ", " Config.model_names))
-  | None -> (
-      match Sys.getenv_opt "EO_MODEL" with
-      | None | Some "" -> ()
-      | Some s -> (
-          match Config.model_of_string s with
-          | Ok name -> (
-              match Memmodel.of_string name with
-              | Some m -> Memmodel.set m
-              | None -> ())
-          | Error msg -> die_error ~json "%s" msg))
-
-let timeout_arg =
-  let doc =
-    "Wall-clock budget for the exact engines, in milliseconds.  When the \
-     deadline expires the engines stop cooperatively and the command \
-     reports partial results: could-have relations and race sets \
-     under-approximate, must-have relations over-approximate — the same \
-     sound directions as --limit.  JSON output then carries \
-     \"status\": \"timeout\" and the exit code is 3.  Overrides the \
-     EO_TIMEOUT_MS environment variable."
-  in
-  Arg.(value & opt (some int) None & info [ "timeout" ] ~docv:"MS" ~doc)
-
-(* Precedence: --timeout flag > EO_TIMEOUT_MS > unlimited, mirroring
-   [resolve_jobs].  The flag is validated here; the env var is validated
-   by [Config.timeout_ms] (malformed values warn and are ignored). *)
-let resolve_budget ?(json = false) = function
-  | Some ms when ms >= 1 -> Budget.create ~timeout_ms:ms ()
-  | Some ms ->
-      die_error ~json "--timeout must be at least 1 millisecond (got %d)" ms
-  | None -> (
-      match Config.timeout_ms () with
-      | Some ms -> Budget.create ~timeout_ms:ms ()
-      | None -> Budget.unlimited)
-
-let status_field budget =
-  [
-    ( "status",
-      Jsonout.Str (if Budget.exhausted budget then "timeout" else "ok") );
-  ]
-
-(* Exit contract: 0 success, 1 analysis check failed, 2 usage/input
-   error (see [die_error]), 3 deadline expired — partial results were
-   already printed, and JSON consumers also see "status": "timeout". *)
-let finish_budget ?(json = false) budget =
-  if Budget.exhausted budget then begin
-    if not json then
-      Format.eprintf
-        "note: --timeout expired; the results above are partial (sound \
-         approximations)@.";
-    exit 3
-  end
-
-let cache_arg =
-  let doc =
-    "Directory for the on-disk result cache (created on first store).  \
-     Overrides the EO_CACHE_DIR environment variable.  Entries are keyed \
-     by a canonical program hash plus the engine and enumeration limit, \
-     so a stale hit is impossible; delete the directory to reclaim the \
-     space.  Without this flag and without EO_CACHE_DIR only the \
-     in-process cache is used."
-  in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-
-(* Precedence: --cache flag > EO_CACHE_DIR > memory-only.  A relative
-   flag is anchored at the current directory (the env var must already
-   be absolute — [Config.cache_dir] rejects it otherwise). *)
-let resolve_cache = function
-  | Some dir ->
-      let dir =
-        if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir
-        else dir
-      in
-      { Session.memory = true; Session.dir = Some dir }
-  | None -> Session.default_cache ()
-
-let stats_arg =
-  let doc =
-    "Collect engine telemetry (search-node, prune and memo counters, phase \
-     timers, parallel split metadata) and include it in the output.  The \
-     search counters are bit-identical across --jobs settings."
-  in
-  Arg.(value & flag & info [ "stats" ] ~doc)
-
-let format_arg =
-  let doc =
-    "Output format: 'text' (human-readable, the default) or 'json' \
-     (machine-readable; each subcommand emits one object with a 'schema' \
-     field naming its stable layout)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format" ] ~docv:"FMT" ~doc)
-
-let make_stats collect = if collect then Some (Telemetry.create ()) else None
-
-let stats_field = function
-  | Some tel -> [ ("stats", Telemetry.to_json tel) ]
-  | None -> []
-
-let print_stats_text = function
-  | Some tel -> Format.printf "@.%a" Telemetry.pp tel
-  | None -> ()
-
-(* JSON rendering of relations and races lives in [Api] — one encoding
-   shared by every transport. *)
-let json_of_rel = Api.json_of_rel
-let relation_key = Api.relation_key
-let json_of_race = Api.json_of_race
-
-let max_events_arg =
-  let doc =
-    "Refuse to run the exponential engines on traces with more events than \
-     this (override consciously)."
-  in
-  Arg.(value & opt int 40 & info [ "max-events" ] ~docv:"N" ~doc)
+(* Subcommands without engine flags still run under the engine and model
+   the environment selects, validated as the flags are. *)
+let select () = ignore (settings ~jobs:1 () : Api.settings)
 
 let parse_program_file ?(json = false) path =
   try Parse.program_file path
@@ -308,34 +210,18 @@ let load_trace ?(json = false) path policy =
   | Trace.Completed -> ()
   | Trace.Deadlocked pids ->
       note
-        "note: the observed execution deadlocked (blocked processes: %a); \
+        "note: the observed execution deadlocked (blocked processes: %s); \
          analysing the events that did run@."
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Format.pp_print_int)
-        pids
+        (String.concat ", " (List.map string_of_int pids))
   | Trace.Fuel_exhausted ->
       note "note: fuel exhausted; analysing the recorded prefix@.");
   trace
 
-(* Apparent and first races, the observed width and the parallelism
-   profile are read off the recorded schedule, so a trace recording a
-   schedule its own synchronization forbids is refused up front, as a
-   typed parse error, before any of them is built. *)
-let check_recorded ?(json = false) sk trace =
-  try Replay.require sk (Trace.schedule trace)
-  with Replay.Not_replayable msg -> die_error ~code:Api.Parse ~json "%s" msg
-
-let guard_size ?(json = false) trace max_events =
-  let n = Trace.n_events trace in
-  if n > max_events then
-    die_error ~json
-      "trace has %d events; the exact engines are exponential and %d is \
-       past the configured --max-events %d"
-      n n max_events
+let guard trace max_events =
+  Api.check_size ~who:"the configured" ~max_events (Trace.n_events trace)
 
 (* ------------------------------------------------------------------ *)
-(* analyze                                                             *)
+(* The one-shot documents                                              *)
 (* ------------------------------------------------------------------ *)
 
 let analyze_cmd =
@@ -347,106 +233,6 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "reduced" ] ~doc)
   in
-  let run file policy limit timeout max_events reduced all jobs engine model
-      collect fmt cache =
-    let json = fmt = `Json in
-    let jobs = resolve_jobs ~json jobs in
-    resolve_engine ~json engine;
-    resolve_model ~json model;
-    let budget = resolve_budget ~json timeout in
-    let trace = load_trace ~json file policy in
-    if not json then Format.printf "%a@." Trace.pp trace;
-    guard_size ~json trace max_events;
-    let x = Trace.to_execution trace in
-    let sk = Skeleton.of_execution x in
-    check_recorded ~json sk trace;
-    let stats = make_stats collect in
-    (* One session answers everything this command prints.  The reduced
-       engine ignores --limit (its class walk is exact), matching the
-       historical Relations.compute_reduced behaviour. *)
-    let session =
-      Session.create
-        ?limit:(if reduced then None else limit)
-        ~jobs ?stats ~budget ~cache:(resolve_cache cache) sk
-    in
-    let s =
-      Budget.value
-        (if reduced then Relations.of_session_reduced_outcome session
-         else Relations.of_session_outcome session)
-    in
-    let races =
-      if all then
-        Some (Race.feasible_races_session session,
-              Race.first_races_session session)
-      else None
-    in
-    let po = Pinned.po_of_schedule sk (Trace.schedule trace) in
-    let width = Antichain.width po in
-    (match fmt with
-    | `Json ->
-        let labels =
-          Jsonout.List
-            (Array.to_list
-               (Array.map
-                  (fun e -> Jsonout.Str e.Event.label)
-                  x.Execution.events))
-        in
-        let relations =
-          Jsonout.Obj
-            (List.map
-               (fun rel ->
-                 (relation_key rel, json_of_rel (Relations.to_rel s rel)))
-               Relations.all_relations)
-        in
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.analyze/1");
-              ]
-             @ status_field budget
-             @ [
-                ("events", Jsonout.Int sk.Skeleton.n);
-                ("labels", labels);
-                ( "engine",
-                  Jsonout.Str (Engine.to_string (Engine.current ())) );
-                ("jobs", Jsonout.Int jobs);
-                ("reduced", Jsonout.Bool reduced);
-                ("feasible_schedules", Jsonout.Int s.Relations.feasible_count);
-                ("truncated", Jsonout.Bool s.Relations.truncated);
-                ("distinct_classes", Jsonout.Int s.Relations.distinct_classes);
-                ("width", Jsonout.Int width);
-                ("relations", relations);
-              ]
-             @ (match races with
-               | None -> []
-               | Some (feasible, first) ->
-                   [
-                     ( "feasible_races",
-                       Jsonout.List (List.map (json_of_race x) feasible) );
-                     ( "first_races",
-                       Jsonout.List (List.map (json_of_race x) first) );
-                   ])
-             @ stats_field stats))
-    | `Text ->
-        Format.printf "%a@." Relations.pp_summary (s, x.Execution.events);
-        Format.printf
-          "max concurrency (width of the observed pinned order): %d of %d \
-           events@."
-          width (Trace.n_events trace);
-        (match races with
-        | None -> ()
-        | Some (feasible, first) ->
-            let report name races =
-              Format.printf "%s: %d@." name (List.length races);
-              List.iter
-                (fun r -> Format.printf "  %a@." (Race.pp_race x) r)
-                races
-            in
-            report "feasible races (exact)" feasible;
-            report "first races (debugging frontier)" first);
-        print_stats_text stats);
-    finish_budget ~json budget
-  in
   let all_arg =
     let doc =
       "Also report the feasible and first data races, decided from the \
@@ -454,6 +240,15 @@ let analyze_cmd =
        than running 'analyze' and 'races' separately)."
     in
     Arg.(value & flag & info [ "all" ] ~doc)
+  in
+  let run file policy limit timeout max_events reduced all jobs engine model
+      stats json cache =
+    cli ~json @@ fun () ->
+    let s = settings ?engine ?model ?jobs ?limit ?timeout ?cache () in
+    let trace = load_trace ~json file policy in
+    if not json then Format.printf "%a@." Trace.pp trace;
+    guard trace max_events;
+    emit ~json (Api.analyze s ~stats ~reduced ~all trace)
   in
   let doc = "run a program and print the six Table-1 ordering relations" in
   Cmd.v
@@ -463,76 +258,13 @@ let analyze_cmd =
       $ max_events_arg $ reduced_arg $ all_arg $ jobs_arg $ engine_arg
       $ model_arg $ stats_arg $ format_arg $ cache_arg)
 
-(* ------------------------------------------------------------------ *)
-(* schedules                                                           *)
-(* ------------------------------------------------------------------ *)
-
 let schedules_cmd =
-  let run file policy timeout max_events collect fmt =
-    let json = fmt = `Json in
-    let budget = resolve_budget ~json timeout in
+  let run file policy timeout max_events stats json =
+    cli ~json @@ fun () ->
+    let s = settings ~jobs:1 ?timeout () in
     let trace = load_trace ~json file policy in
-    guard_size trace max_events;
-    let sk = Skeleton.of_execution (Trace.to_execution trace) in
-    let stats = make_stats collect in
-    let c =
-      match stats with
-      | None -> Counters.null
-      | Some tel ->
-          Telemetry.set_run tel
-            ~engine:(Engine.to_string (Engine.current ()))
-            ~jobs:1;
-          Telemetry.counters tel
-    in
-    (* Each query degrades independently under the deadline: a cut DP
-       count reads 0, states/deadlock fall back to the empty answer —
-       "status" and the exit code say the run was partial. *)
-    let degrade fallback f =
-      try f ()
-      with Budget.Expired ->
-        Counters.bump c Counters.Timeout_expirations;
-        Counters.bump c Counters.Timeout_degraded;
-        fallback
-    in
-    let r, count, states, deadlock =
-      Counters.time c Counters.T_total @@ fun () ->
-      let r = Reach.create ~stats:c ~budget sk in
-      let count =
-        degrade 0 (fun () ->
-            Counters.time c Counters.T_count (fun () -> Reach.schedule_count r))
-      in
-      ( r,
-        count,
-        degrade 0 (fun () -> Reach.reachable_state_count r),
-        degrade false (fun () -> Reach.deadlock_reachable r) )
-    in
-    Reach.stats_commit r;
-    let saturated = count >= Reach.count_saturation in
-    (match fmt with
-    | `Json ->
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.schedules/1");
-              ]
-             @ status_field budget
-             @ [
-                ("events", Jsonout.Int sk.Skeleton.n);
-                ("feasible_schedules", Jsonout.Int count);
-                ("saturated", Jsonout.Bool saturated);
-                ("reachable_states", Jsonout.Int states);
-                ("deadlock_reachable", Jsonout.Bool deadlock);
-              ]
-             @ stats_field stats))
-    | `Text ->
-        Format.printf "events:                   %d@." sk.Skeleton.n;
-        if saturated then
-          Format.printf "feasible schedules:       >= 10^18@."
-        else Format.printf "feasible schedules:       %d@." count;
-        Format.printf "reachable states:         %d@." states;
-        Format.printf "deadlock reachable:       %b@." deadlock;
-        print_stats_text stats);
-    finish_budget ~json budget
+    guard trace max_events;
+    emit ~json (Api.schedules s ~stats trace)
   in
   let doc = "count feasible schedules and states; check for reachable deadlocks" in
   Cmd.v
@@ -540,10 +272,6 @@ let schedules_cmd =
     Term.(
       const run $ program_file $ policy_arg $ timeout_arg $ max_events_arg
       $ stats_arg $ format_arg)
-
-(* ------------------------------------------------------------------ *)
-(* races                                                               *)
-(* ------------------------------------------------------------------ *)
 
 let races_cmd =
   let witness_arg =
@@ -561,156 +289,16 @@ let races_cmd =
     in
     Arg.(value & opt_all string [] & info [ "query" ] ~docv:"REL:A:B" ~doc)
   in
-  (* The streaming path: under the auto engine a saved trace bigger than
-     --max-events is not rejected but routed through the columnar
-     reader and the tier-1 triage pipeline — linear in the trace, every
-     reported race replay-certified, undecided candidates surfaced
-     rather than silently dropped. *)
-  let run_streaming ~json ~fmt ~jobs ~budget ~witness ~collect ~queries big =
-    let parse_query q =
-      let bad () =
-        die_error ~json
-          "--query expects REL:A:B with REL one of mhb, chb and A, B \
-           numeric event ids (got %S)"
-          q
-      in
-      match String.split_on_char ':' q with
-      | [ rel; a; b ] -> (
-          let rel =
-            match String.lowercase_ascii rel with
-            | "mhb" -> Some Triage.S_mhb
-            | "chb" -> Some Triage.S_chb
-            | _ -> None
-          in
-          match (rel, int_of_string_opt a, int_of_string_opt b) with
-          | Some rel, Some a, Some b ->
-              let n = Bigtrace.n_events big in
-              if a < 0 || a >= n || b < 0 || b >= n then
-                die_error ~json
-                  "--query %S: event ids must be in [0, %d)" q n;
-              (rel, a, b)
-          | _ -> bad ())
-      | _ -> bad ()
-    in
-    let queries = List.map parse_query queries in
-    if witness then
-      Format.eprintf
-        "note: --witness is unavailable on the streaming path (the \
-         certifying schedules are the whole trace)@.";
-    let stats = make_stats collect in
-    Option.iter
-      (fun tel ->
-        Telemetry.set_run tel
-          ~engine:(Engine.to_string (Engine.current ()))
-          ~jobs)
-      stats;
-    let c =
-      match stats with
-      | Some tel -> Telemetry.counters tel
-      | None -> Counters.null
-    in
-    let report = Triage.races_big ~stats:c ~budget ~jobs ~queries big in
-    let rel_name = function
-      | Triage.S_mhb -> "mhb"
-      | Triage.S_chb -> "chb"
-    in
-    let verdict_string = function
-      | Some true -> "true"
-      | Some false -> "false"
-      | None -> "unknown"
-    in
-    (match fmt with
-    | `Json ->
-        let races =
-          Jsonout.List
-            (List.map
-               (fun (e1, e2, vars) ->
-                 Jsonout.Obj
-                   [
-                     ("e1", Jsonout.Int e1);
-                     ("e2", Jsonout.Int e2);
-                     ( "variables",
-                       Jsonout.List (List.map (fun v -> Jsonout.Int v) vars) );
-                   ])
-               report.Triage.races)
-        in
-        print_json
-          (Jsonout.Obj
-             ([ ("schema", Jsonout.Str "eventorder.races_stream/1") ]
-             @ status_field budget
-             @ [
-                 ("events", Jsonout.Int report.Triage.events);
-                 ("candidates", Jsonout.Int report.Triage.candidates);
-                 ( "observed_feasible",
-                   Jsonout.Bool report.Triage.observed_feasible );
-                 ("truncated", Jsonout.Bool report.Triage.truncated);
-                 ("refuted", Jsonout.Int report.Triage.refuted);
-                 ("certified", Jsonout.Int report.Triage.certified);
-                 ("undecided", Jsonout.Int report.Triage.undecided);
-                 ("races", races);
-               ]
-             @ (match report.Triage.answers with
-               | [] -> []
-               | answers ->
-                   [
-                     ( "queries",
-                       Jsonout.List
-                         (List.map
-                            (fun (a : Triage.stream_answer) ->
-                              Jsonout.Obj
-                                [
-                                  ("relation", Jsonout.Str (rel_name a.Triage.q_rel));
-                                  ("before", Jsonout.Int a.Triage.q_a);
-                                  ("after", Jsonout.Int a.Triage.q_b);
-                                  ( "verdict",
-                                    Jsonout.Str (verdict_string a.Triage.q_verdict)
-                                  );
-                                ])
-                            answers) );
-                   ])
-             @ stats_field stats))
-    | `Text ->
-        Format.printf "events: %d@." report.Triage.events;
-        List.iter
-          (fun (a : Triage.stream_answer) ->
-            Format.printf "query %s(%d, %d): %s@."
-              (rel_name a.Triage.q_rel) a.Triage.q_a a.Triage.q_b
-              (verdict_string a.Triage.q_verdict))
-          report.Triage.answers;
-        Format.printf "candidate conflicting pairs: %d%s@."
-          report.Triage.candidates
-          (if report.Triage.truncated then " (truncated)" else "");
-        Format.printf "refuted by forced-order clock: %d@."
-          report.Triage.refuted;
-        Format.printf "undecided at streaming scale: %d@."
-          report.Triage.undecided;
-        Format.printf "certified races (replayed both orders): %d@."
-          report.Triage.certified;
-        List.iter
-          (fun (e1, e2, vars) ->
-            Format.printf "  race between %s (event %d) and %s (event %d) on %a@."
-              big.Bigtrace.events.(e1).Event.label e1
-              big.Bigtrace.events.(e2).Event.label e2
-              (Format.pp_print_list
-                 ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-                 (fun ppf v -> Format.fprintf ppf "v%d" v))
-              vars)
-          report.Triage.races;
-        print_stats_text stats);
-    finish_budget ~json budget
-  in
   let run file policy limit timeout max_events witness jobs engine model
-      queries collect fmt cache =
-    let json = fmt = `Json in
-    let jobs = resolve_jobs ~json jobs in
-    resolve_engine ~json engine;
-    resolve_model ~json model;
-    let budget = resolve_budget ~json timeout in
-    let streaming =
-      if
-        Engine.current () = Engine.Auto
-        && Filename.check_suffix file ".eotrace"
-      then begin
+      queries stats json cache =
+    cli ~json @@ fun () ->
+    let s = settings ?engine ?model ?jobs ?limit ?timeout ?cache () in
+    (* Under the auto engine a saved trace bigger than --max-events is
+       not rejected but routed through the columnar reader and the
+       tier-1 triage pipeline. *)
+    let big =
+      if s.Api.engine = Engine.Auto && Filename.check_suffix file ".eotrace"
+      then
         let big =
           try Bigtrace.read file
           with Failure message ->
@@ -718,98 +306,26 @@ let races_cmd =
               "%s: malformed trace: %s" file message
         in
         if Bigtrace.n_events big > max_events then Some big else None
-      end
       else None
     in
-    match streaming with
+    match big with
     | Some big ->
-        run_streaming ~json ~fmt ~jobs ~budget ~witness ~collect ~queries big
+        let n = Bigtrace.n_events big in
+        let queries = List.map (Api.stream_query ~n) queries in
+        if witness then
+          Format.eprintf
+            "note: --witness is unavailable on the streaming path (the \
+             certifying schedules are the whole trace)@.";
+        emit ~json (Api.races_stream s ~stats ~queries big)
     | None ->
-    if queries <> [] then
-      die_error ~json
-        "--query runs on the streaming path only (a saved *.eotrace \
-         bigger than --max-events under --engine auto); use the batch \
-         subcommand for per-pair queries at exact scale";
-    let trace = load_trace ~json file policy in
-    guard_size ~json trace max_events;
-    let x = Trace.to_execution trace in
-    let stats = make_stats collect in
-    (* One session serves both race sets: the first-race refinement reuses
-       the feasible set through the session cache instead of re-deciding
-       every pair (which used to double the engine work). *)
-    let session =
-      Session.of_execution ?limit ~jobs ?stats ~budget
-        ~cache:(resolve_cache cache) x
-    in
-    check_recorded ~json (Session.skeleton session) trace;
-    let candidates = Race.conflicting_pairs x in
-    let apparent = Race.apparent_races x in
-    let feasible = Race.feasible_races_session session in
-    let first = Race.first_races_session session in
-    let witnesses =
-      if witness then
-        List.filter_map
-          (fun r ->
-            Option.map
-              (fun w -> (r, w))
-              (Race.race_witness x r.Race.e1 r.Race.e2))
-          feasible
-      else []
-    in
-    (match fmt with
-    | `Json ->
-        let races rs = Jsonout.List (List.map (json_of_race x) rs) in
-        let schedule s =
-          Jsonout.List (List.map (fun e -> Jsonout.Int e) (Array.to_list s))
-        in
-        let witness_json (r, (s1, s2)) =
-          Jsonout.Obj
-            [
-              ("e1", Jsonout.Int r.Race.e1);
-              ("e2", Jsonout.Int r.Race.e2);
-              ("schedules", Jsonout.List [ schedule s1; schedule s2 ]);
-            ]
-        in
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.races/1");
-              ]
-             @ status_field budget
-             @ [
-                ("events", Jsonout.Int (Execution.n_events x));
-                ("candidates", races candidates);
-                ("apparent", races apparent);
-                ("feasible", races feasible);
-                ("first", races first);
-              ]
-             @ (if witness then
-                  [ ("witnesses", Jsonout.List (List.map witness_json witnesses)) ]
-                else [])
-             @ stats_field stats))
-    | `Text ->
-        let report name races =
-          Format.printf "%s: %d@." name (List.length races);
-          List.iter (fun r -> Format.printf "  %a@." (Race.pp_race x) r) races
-        in
-        report "candidate conflicting pairs" candidates;
-        report "apparent races (vector clock)" apparent;
-        report "feasible races (exact)" feasible;
-        report "first races (debugging frontier)" first;
-        List.iter
-          (fun (r, (s1, s2)) ->
-            let pp_schedule ppf s =
-              Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-                (fun ppf e ->
-                  Format.pp_print_string ppf x.Execution.events.(e).Event.label)
-                ppf (Array.to_list s)
-            in
-            Format.printf "@.witness for %a:@.  %a@.  %a@."
-              (Race.pp_race x) r pp_schedule s1 pp_schedule s2)
-          witnesses;
-        print_stats_text stats);
-    finish_budget ~json budget
+        if queries <> [] then
+          die_error ~json
+            "--query runs on the streaming path only (a saved *.eotrace \
+             bigger than --max-events under --engine auto); use the batch \
+             subcommand for per-pair queries at exact scale";
+        let trace = load_trace ~json file policy in
+        guard trace max_events;
+        emit ~json (Api.races s ~stats ~witness trace)
   in
   let doc = "detect apparent (polynomial) and feasible (exact) data races" in
   Cmd.v
@@ -819,8 +335,392 @@ let races_cmd =
       $ max_events_arg $ witness_arg $ jobs_arg $ engine_arg $ model_arg
       $ stream_query_arg $ stats_arg $ format_arg $ cache_arg)
 
+(* Many queries, one session: a single enumeration pass, reachability
+   memo and cache entry set answer every query on the command line, so
+   asking six questions costs barely more than asking one. *)
+let batch_cmd =
+  let queries_arg =
+    let doc =
+      "Queries to answer, in order.  Whole-program: 'relations' (the six \
+       matrices by full enumeration), 'reduced' (the same by the \
+       class-level engine), 'races' (feasible races), 'first' (first \
+       races), 'schedules' (the feasible-schedule count).  Per-pair: \
+       REL:A:B with REL one of mhb, chb, mcw, ccw, mow, cow and A, B \
+       event labels (e.g. mhb:w1:r2)."
+    in
+    Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"QUERY" ~doc)
+  in
+  let run file policy limit timeout max_events jobs engine model stats json
+      cache queries =
+    cli ~json @@ fun () ->
+    let s = settings ?engine ?model ?jobs ?limit ?timeout ?cache () in
+    let trace = load_trace ~json file policy in
+    guard trace max_events;
+    emit ~json (Api.batch s ~stats trace queries)
+  in
+  let doc =
+    "answer many queries about one program from a single shared analysis \
+     session"
+  in
+  Cmd.v
+    (Cmd.info "batch" ~doc)
+    Term.(
+      const run $ program_file $ policy_arg $ limit_arg $ timeout_arg
+      $ max_events_arg $ jobs_arg $ engine_arg $ model_arg $ stats_arg
+      $ format_arg $ cache_arg $ queries_arg)
+
+let consistent_cmd =
+  let rf_arg =
+    let doc =
+      "Override the reads-from source of one read, as READ=WRITE with \
+       READ and WRITE numeric event ids (WRITE also accepts 'init', \
+       the variable's initial value).  Repeatable.  Reads not \
+       overridden keep the observed source: the last write to their \
+       variable that ran temporally before them."
+    in
+    Arg.(value & opt_all string [] & info [ "rf" ] ~docv:"READ=WRITE" ~doc)
+  in
+  let run file policy max_events model rf stats json =
+    cli ~json @@ fun () ->
+    let s = settings ~jobs:1 ?model () in
+    let trace = load_trace ~json file policy in
+    guard trace max_events;
+    emit ~json (Api.consistent s ~stats ~rf trace)
+  in
+  let doc =
+    "decide whether a reads-from assignment over the observed events is \
+     consistent under a memory model (--model sc|tso|pso), with a \
+     replayable total-order and coherence witness"
+  in
+  Cmd.v
+    (Cmd.info "consistent" ~doc)
+    Term.(
+      const run $ program_file $ policy_arg $ max_events_arg $ model_arg
+      $ rf_arg $ stats_arg $ format_arg)
+
+let reduce_cmd =
+  let style_arg =
+    let doc = "Synchronization style: 'sem' (Theorem 1/2) or 'event' (Theorem 3/4)." in
+    Arg.(
+      value
+      & opt (enum [ ("sem", `Sem); ("event", `Event) ]) `Sem
+      & info [ "style" ] ~docv:"STYLE" ~doc)
+  in
+  let decide_arg =
+    let doc = "Also decide a MHB b / b CHB a with the exact engine and cross-check DPLL." in
+    Arg.(value & flag & info [ "decide" ] ~doc)
+  in
+  let dimacs_file =
+    let doc = "3-CNF formula in DIMACS format." in
+    Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"DIMACS" ~doc)
+  in
+  let run style decide file stats json =
+    cli ~json @@ fun () ->
+    let s = settings ~jobs:1 () in
+    emit ~json (Api.reduce s ~stats ~style ~decide (Dimacs.parse_file file))
+  in
+  let doc = "build the Theorem 1-4 reduction program from a DIMACS 3-CNF" in
+  Cmd.v
+    (Cmd.info "reduce" ~doc)
+    Term.(
+      const run $ style_arg $ decide_arg $ dimacs_file $ stats_arg
+      $ format_arg)
+
 (* ------------------------------------------------------------------ *)
-(* gen                                                                 *)
+(* Text reports                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let order_cmd =
+  let label n =
+    let doc = Printf.sprintf "Label of the %s event of the pair." n in
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ n ] ~docv:(String.uppercase_ascii n) ~doc)
+  in
+  let run file policy max_events a_label b_label =
+    cli @@ fun () ->
+    select ();
+    let trace = load_trace file policy in
+    guard trace max_events;
+    let x = Trace.to_execution trace in
+    let id label =
+      match Trace.find_event_opt trace label with
+      | Some e -> e.Event.id
+      | None -> Api.errorf Api.Usage "no event is labelled %S" label
+    in
+    let a = id a_label in
+    let b = id b_label in
+    let d = Decide.create x in
+    let show rel (a, al) (b, bl) =
+      Format.printf "%-40s %b@."
+        (Printf.sprintf "'%s' %s '%s':" al
+           (String.uppercase_ascii (Api.relation_key rel))
+           bl)
+        (Decide.holds d rel a b)
+    in
+    show Relations.MHB (a, a_label) (b, b_label);
+    show Relations.CHB (a, a_label) (b, b_label);
+    show Relations.CHB (b, b_label) (a, a_label);
+    show Relations.CCW (a, a_label) (b, b_label);
+    show Relations.MOW (a, a_label) (b, b_label);
+    (* The witness search shares the session's memoized state engine with
+       the five decisions above. *)
+    match Reach.witness_before (Session.reach (Decide.session d)) b a with
+    | None ->
+        Format.printf "no feasible execution runs '%s' before '%s'@." b_label
+          a_label
+    | Some schedule ->
+        Format.printf "witness schedule running '%s' before '%s':@." b_label
+          a_label;
+        Array.iteri
+          (fun i e ->
+            Format.printf "  %2d  %s@." i x.Execution.events.(e).Event.label)
+          schedule
+  in
+  let doc =
+    "decide the ordering relations for one labelled pair and print a \
+     witness schedule for the reversed order when one exists"
+  in
+  Cmd.v
+    (Cmd.info "order" ~doc)
+    Term.(
+      const run $ program_file $ policy_arg $ max_events_arg $ label "before"
+      $ label "after")
+
+let report_cmd =
+  let run file policy max_events jobs cache =
+    cli @@ fun () ->
+    let s = settings ?jobs ?cache () in
+    let trace = load_trace file policy in
+    guard trace max_events;
+    let x = Trace.to_execution trace in
+    let sk = Skeleton.of_execution x in
+    Api.check_recorded sk trace;
+    let n = Trace.n_events trace in
+    (* Every section below draws on one session: one reachability memo,
+       one class-level summary, one (cached) race set. *)
+    let session = Session.create ~jobs:s.Api.jobs ~cache:s.Api.cache sk in
+    Format.printf "=== execution ===@.%a@." Trace.pp trace;
+
+    Format.printf "=== feasible executions ===@.";
+    let r = Session.reach session in
+    let count = Reach.schedule_count r in
+    if count >= Reach.count_saturation then
+      Format.printf "feasible schedules: >= 10^18@."
+    else Format.printf "feasible schedules: %d@." count;
+    Format.printf "reachable states:   %d@." (Reach.reachable_state_count r);
+    (match Reach.deadlock_witness r with
+    | None -> Format.printf "reachable deadlock: none@."
+    | Some prefix ->
+        Format.printf "reachable deadlock: yes, e.g. after [%s]@."
+          (String.concat "; "
+             (Array.to_list
+                (Array.map (fun e -> x.Execution.events.(e).Event.label) prefix))));
+
+    Format.printf "@.=== ordering relations (pair counts) ===@.";
+    let s = Relations.of_session_reduced session in
+    Format.printf "distinct classes:   %d@." s.Relations.distinct_classes;
+    List.iter
+      (fun rel ->
+        Format.printf "%-34s %d pairs@."
+          (Relations.relation_name rel)
+          (Rel.pair_count (Relations.to_rel s rel)))
+      Relations.all_relations;
+    let para = Parallelism.analyze sk (Trace.schedule trace) in
+    Format.printf
+      "max concurrency (width): %d of %d events; critical path: %d; \
+       speedup limit: %.2f@."
+      para.Parallelism.width n
+      para.Parallelism.critical_path_length
+      (Parallelism.speedup_limit para);
+
+    Format.printf "@.=== races ===@.";
+    let print_races name races =
+      Format.printf "%-10s %d@." name (List.length races);
+      List.iter (fun race -> Format.printf "  %a@." (Race.pp_race x) race) races
+    in
+    print_races "apparent:" (Race.apparent_races x);
+    print_races "feasible:" (Race.feasible_races_session session);
+    print_races "first:" (Race.first_races_session session);
+
+    Format.printf "@.=== polynomial approximations vs exact MHB ===@.";
+    let d = Decide.of_session session in
+    let mhb_count = ref 0 and missed_by_graph = ref 0 in
+    let egp = Egp.build x in
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if a <> b && Decide.holds d Relations.MHB a b then begin
+          incr mhb_count;
+          if not (Egp.guaranteed_before egp a b) then incr missed_by_graph
+        end
+      done
+    done;
+    Format.printf "exact MHB pairs:            %d@." !mhb_count;
+    Format.printf "missed by the task graph:   %d@." !missed_by_graph;
+    let h = Hmw.of_execution x in
+    Format.printf "HMW phase-3 safe pairs:     %d@."
+      (Rel.pair_count h.Hmw.phase3)
+  in
+  let doc = "one-shot comprehensive analysis: schedules, relations, races, approximations" in
+  Cmd.v
+    (Cmd.info "report" ~doc)
+    Term.(
+      const run $ program_file $ policy_arg $ max_events_arg $ jobs_arg
+      $ cache_arg)
+
+let taskgraph_cmd =
+  let run file policy max_events =
+    cli @@ fun () ->
+    select ();
+    let trace = load_trace file policy in
+    let x = Trace.to_execution trace in
+    let egp = Egp.build x in
+    Format.printf "task graph: %d sync nodes, %d synchronization edges@."
+      (Digraph.size (Egp.graph egp))
+      (Egp.sync_edge_count egp);
+    let claims = Egp.guaranteed_rel egp in
+    Format.printf "claimed guaranteed orderings: %d@." (Rel.pair_count claims);
+    if Trace.n_events trace <= max_events then begin
+      let d = Decide.create x in
+      let missed = ref 0 in
+      let n = Execution.n_events x in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if a <> b && Decide.holds d Relations.MHB a b && not (Rel.mem claims a b)
+          then begin
+            incr missed;
+            Format.printf "  missed: %s MHB %s@."
+              x.Execution.events.(a).Event.label
+              x.Execution.events.(b).Event.label
+          end
+        done
+      done;
+      Format.printf "orderings the exact engine proves but the graph misses: %d@."
+        !missed
+    end
+    else
+      Format.printf
+        "(trace too large for the exact comparison; raise --max-events)@."
+  in
+  let doc = "build the Emrath-Ghosh-Padua task graph and compare with the exact engine" in
+  Cmd.v
+    (Cmd.info "taskgraph" ~doc)
+    Term.(const run $ program_file $ policy_arg $ max_events_arg)
+
+(* Dump one per-pair query as a standalone DIMACS CNF instance — the
+   exact formula the [sat] engine probes with assumptions, with the
+   assumption materialized as a unit clause so any external solver can
+   decide it.  Comment lines state the query and its semantics. *)
+let encode_cmd =
+  let query_arg =
+    let doc =
+      "The query to compile, REL:A:B with A, B event labels or numeric \
+       event ids.  REL is one of: 'chb' (satisfiable iff A could have \
+       happened before B), 'mhb' (the refutation probe — unsatisfiable \
+       iff A must have happened before B, provided the base formula is \
+       satisfiable), or 'ccw' (the two-copy formula, satisfiable iff A \
+       and B could have been concurrent)."
+    in
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc)
+  in
+  let run file policy max_events query =
+    cli @@ fun () ->
+    select ();
+    let trace = load_trace file policy in
+    guard trace max_events;
+    let x = Trace.to_execution trace in
+    let sk = Skeleton.of_execution x in
+    let unknown () =
+      Api.errorf Api.Usage
+        "unknown query %S (expected REL:A:B with REL one of chb, mhb, ccw)"
+        query
+    in
+    let rel, rest =
+      match Api.query_of_string query with
+      | Api.Pair (rel, rest) -> (rel, rest)
+      | _ -> unknown ()
+      | exception Api.Error (Api.Usage, _) -> unknown ()
+    in
+    let a_label, b_label, a, b = Api.resolve_pair trace x ~query rest in
+    let enc = Encode.build (Session.encode_program sk) in
+    (* The assumption literal becomes a unit clause; a pair closed by
+       program order / dependence folds to the base formula (the asked
+       direction is forced anyway) or to an explicit empty clause (the
+       asked direction is impossible). *)
+    let assume base = function
+      | `Always -> base
+      | `Never -> Cnf.make ~num_vars:base.Cnf.num_vars ([] :: base.Cnf.clauses)
+      | `Lit l -> Cnf.make ~num_vars:base.Cnf.num_vars ([ l ] :: base.Cnf.clauses)
+    in
+    let key = Api.relation_key rel in
+    let f, semantics =
+      match rel with
+      | Relations.CHB ->
+          ( assume (Encode.cnf enc) (Encode.order_literal enc a b),
+            "satisfiable iff A could have happened before B" )
+      | Relations.MHB ->
+          ( assume (Encode.cnf enc) (Encode.order_literal enc b a),
+            "unsatisfiable iff A must have happened before B (given the base \
+             formula is satisfiable)" )
+      | Relations.CCW ->
+          ( Encode.race_formula enc a b,
+            "satisfiable iff A and B could have been concurrent" )
+      | _ ->
+          Api.errorf Api.Usage
+            "relation %S has no single-formula SAT encoding (expected chb, \
+             mhb, or ccw)"
+            key
+    in
+    Format.printf "c eventorder encode %s: A = '%s' (event %d), B = '%s' \
+                   (event %d)@."
+      key a_label a b_label b;
+    Format.printf "c %s@." semantics;
+    Format.printf "%a" Dimacs.print f
+  in
+  let doc =
+    "compile one per-pair ordering query to a DIMACS CNF instance"
+  in
+  Cmd.v
+    (Cmd.info "encode" ~doc)
+    Term.(const run $ program_file $ policy_arg $ max_events_arg $ query_arg)
+
+let dot_cmd =
+  let kind_arg =
+    let doc =
+      "What to render: 'execution' (program order + dependences), 'pinned' \
+       (the observed schedule's pinned partial order), 'taskgraph' \
+       (Emrath-Ghosh-Padua), or a relation name ('mhb', 'chb', 'mcw', \
+       'ccw', 'mow', 'cow')."
+    in
+    Arg.(value & opt string "execution" & info [ "kind" ] ~docv:"KIND" ~doc)
+  in
+  let run file policy kind max_events =
+    cli @@ fun () ->
+    select ();
+    let trace = load_trace file policy in
+    let x = Trace.to_execution trace in
+    let ppf = Format.std_formatter in
+    match String.lowercase_ascii kind with
+    | "execution" -> Dot.execution ppf x
+    | "pinned" ->
+        Dot.pinned ppf (Skeleton.of_execution x) (Trace.schedule trace)
+    | "taskgraph" -> Dot.task_graph ppf x (Egp.build x)
+    | name -> (
+        match Api.relation_of_string name with
+        | Some relation ->
+            guard trace max_events;
+            let s = Relations.compute (Skeleton.of_execution x) in
+            Dot.relation ppf (x, Relations.to_rel s relation, name)
+        | None -> Api.errorf Api.Usage "unknown --kind %s" name)
+  in
+  let doc = "render executions, pinned orders, task graphs or relations as DOT" in
+  Cmd.v
+    (Cmd.info "dot" ~doc)
+    Term.(const run $ program_file $ policy_arg $ kind_arg $ max_events_arg)
+
+(* ------------------------------------------------------------------ *)
+(* Generators, checks and demos                                       *)
 (* ------------------------------------------------------------------ *)
 
 let gen_cmd =
@@ -872,218 +772,6 @@ let gen_cmd =
     (Cmd.info "gen" ~doc)
     Term.(const run $ family_arg $ events_arg $ seed_arg $ output_arg)
 
-(* ------------------------------------------------------------------ *)
-(* encode                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Dump one per-pair query as a standalone DIMACS CNF instance — the
-   exact formula the [sat] engine probes with assumptions, with the
-   assumption materialized as a unit clause so any external solver can
-   decide it.  Comment lines state the query and its semantics. *)
-let encode_cmd =
-  let query_arg =
-    let doc =
-      "The query to compile, REL:A:B with A, B event labels or numeric \
-       event ids.  REL is one of: 'chb' (satisfiable iff A could have \
-       happened before B), 'mhb' (the refutation probe — unsatisfiable \
-       iff A must have happened before B, provided the base formula is \
-       satisfiable), or 'ccw' (the two-copy formula, satisfiable iff A \
-       and B could have been concurrent)."
-    in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc)
-  in
-  let run file policy max_events query =
-    let trace = load_trace file policy in
-    guard_size trace max_events;
-    let x = Trace.to_execution trace in
-    let sk = Skeleton.of_execution x in
-    match String.index_opt query ':' with
-    | None ->
-        die_error ~json:false
-          "unknown query %S (expected REL:A:B with REL one of chb, mhb, ccw)"
-          query
-    | Some i ->
-        let rel = String.lowercase_ascii (String.sub query 0 i) in
-        let rest = String.sub query (i + 1) (String.length query - i - 1) in
-        let a_label, b_label, a, b =
-          or_die_api (fun () -> Api.resolve_pair trace x ~query rest)
-        in
-        let enc = Encode.build (Session.encode_program sk) in
-        (* The assumption literal becomes a unit clause; a pair closed by
-           program order / dependence folds to the base formula (the
-           asked direction is forced anyway) or to an explicit empty
-           clause (the asked direction is impossible). *)
-        let assume base = function
-          | `Always -> base
-          | `Never -> Cnf.make ~num_vars:base.Cnf.num_vars ([] :: base.Cnf.clauses)
-          | `Lit l -> Cnf.make ~num_vars:base.Cnf.num_vars ([ l ] :: base.Cnf.clauses)
-        in
-        let f, semantics =
-          match rel with
-          | "chb" ->
-              ( assume (Encode.cnf enc) (Encode.order_literal enc a b),
-                "satisfiable iff A could have happened before B" )
-          | "mhb" ->
-              ( assume (Encode.cnf enc) (Encode.order_literal enc b a),
-                "unsatisfiable iff A must have happened before B (given \
-                 the base formula is satisfiable)" )
-          | "ccw" ->
-              ( Encode.race_formula enc a b,
-                "satisfiable iff A and B could have been concurrent" )
-          | _ ->
-              die_error ~json:false
-                "relation %S has no single-formula SAT encoding (expected \
-                 chb, mhb, or ccw)"
-                rel
-        in
-        Format.printf "c eventorder encode %s: A = '%s' (event %d), B = \
-                       '%s' (event %d)@."
-          rel a_label a b_label b;
-        Format.printf "c %s@." semantics;
-        Format.printf "%a" Dimacs.print f
-  in
-  let doc =
-    "compile one per-pair ordering query to a DIMACS CNF instance"
-  in
-  Cmd.v
-    (Cmd.info "encode" ~doc)
-    Term.(const run $ program_file $ policy_arg $ max_events_arg $ query_arg)
-
-(* ------------------------------------------------------------------ *)
-(* taskgraph                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let taskgraph_cmd =
-  let run file policy max_events =
-    let trace = load_trace file policy in
-    let x = Trace.to_execution trace in
-    let egp = Egp.build x in
-    Format.printf "task graph: %d sync nodes, %d synchronization edges@."
-      (Digraph.size (Egp.graph egp))
-      (Egp.sync_edge_count egp);
-    let claims = Egp.guaranteed_rel egp in
-    Format.printf "claimed guaranteed orderings: %d@." (Rel.pair_count claims);
-    if Trace.n_events trace <= max_events then begin
-      let d = Decide.create x in
-      let missed = ref 0 in
-      let n = Execution.n_events x in
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if a <> b && Decide.mhb d a b && not (Rel.mem claims a b) then begin
-            incr missed;
-            Format.printf "  missed: %s MHB %s@."
-              x.Execution.events.(a).Event.label
-              x.Execution.events.(b).Event.label
-          end
-        done
-      done;
-      Format.printf "orderings the exact engine proves but the graph misses: %d@."
-        !missed
-    end
-    else
-      Format.printf
-        "(trace too large for the exact comparison; raise --max-events)@."
-  in
-  let doc = "build the Emrath-Ghosh-Padua task graph and compare with the exact engine" in
-  Cmd.v
-    (Cmd.info "taskgraph" ~doc)
-    Term.(const run $ program_file $ policy_arg $ max_events_arg)
-
-(* ------------------------------------------------------------------ *)
-(* reduce                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let reduce_cmd =
-  let style_arg =
-    let doc = "Synchronization style: 'sem' (Theorem 1/2) or 'event' (Theorem 3/4)." in
-    Arg.(
-      value
-      & opt (enum [ ("sem", `Sem); ("event", `Event) ]) `Sem
-      & info [ "style" ] ~docv:"STYLE" ~doc)
-  in
-  let decide_arg =
-    let doc = "Also decide a MHB b / b CHB a with the exact engine and cross-check DPLL." in
-    Arg.(value & flag & info [ "decide" ] ~doc)
-  in
-  let dimacs_file =
-    let doc = "3-CNF formula in DIMACS format." in
-    Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"DIMACS" ~doc)
-  in
-  let run style decide file collect fmt =
-    let formula = Dimacs.parse_file file in
-    let stats = make_stats collect in
-    (match stats with
-    | Some tel ->
-        Telemetry.set_run tel
-          ~engine:(Engine.to_string (Engine.current ()))
-          ~jobs:1
-    | None -> ());
-    let program, checks =
-      match style with
-      | `Sem ->
-          let red = Reduction_sem.build formula in
-          ( red.Reduction_sem.program,
-            if decide then
-              [
-                Theorems.check_theorem_1 ?stats formula;
-                Theorems.check_theorem_2 ?stats formula;
-              ]
-            else [] )
-      | `Event ->
-          let red = Reduction_evt.build formula in
-          ( red.Reduction_evt.program,
-            if decide then
-              [
-                Theorems.check_theorem_3 ?stats formula;
-                Theorems.check_theorem_4 ?stats formula;
-              ]
-            else [] )
-    in
-    match fmt with
-    | `Json ->
-        let check_json (c : Theorems.check) =
-          Jsonout.Obj
-            [
-              ("theorem", Jsonout.Int c.Theorems.theorem);
-              ("satisfiable", Jsonout.Bool c.Theorems.satisfiable);
-              ("ordering_holds", Jsonout.Bool c.Theorems.ordering_holds);
-              ("agrees", Jsonout.Bool c.Theorems.agrees);
-              ("events", Jsonout.Int c.Theorems.n_events);
-            ]
-        in
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.reduce/1");
-                ( "style",
-                  Jsonout.Str (match style with `Sem -> "sem" | `Event -> "event")
-                );
-                ("variables", Jsonout.Int formula.Cnf.num_vars);
-                ("clauses", Jsonout.Int (Cnf.num_clauses formula));
-                ("program", Jsonout.Str (Format.asprintf "%a" Ast.pp program));
-              ]
-             @ (if decide then
-                  [ ("checks", Jsonout.List (List.map check_json checks)) ]
-                else [])
-             @ stats_field stats))
-    | `Text ->
-        Format.printf "%a@." Ast.pp program;
-        List.iter
-          (fun c -> Format.printf "%a@." Theorems.pp_check c)
-          checks;
-        print_stats_text stats
-  in
-  let doc = "build the Theorem 1-4 reduction program from a DIMACS 3-CNF" in
-  Cmd.v
-    (Cmd.info "reduce" ~doc)
-    Term.(
-      const run $ style_arg $ decide_arg $ dimacs_file $ stats_arg
-      $ format_arg)
-
-(* ------------------------------------------------------------------ *)
-(* theorems                                                            *)
-(* ------------------------------------------------------------------ *)
-
 let theorems_cmd =
   let formula_arg =
     let doc =
@@ -1093,6 +781,8 @@ let theorems_cmd =
     Arg.(value & opt string "tiny-unsat" & info [ "formula" ] ~docv:"F" ~doc)
   in
   let run formula_spec =
+    cli @@ fun () ->
+    select ();
     let formula =
       match formula_spec with
       | "tiny-sat" -> Sat_gen.tiny_sat_3cnf ()
@@ -1110,336 +800,6 @@ let theorems_cmd =
   in
   let doc = "machine-check Theorems 1-4 on a formula" in
   Cmd.v (Cmd.info "theorems" ~doc) Term.(const run $ formula_arg)
-
-(* ------------------------------------------------------------------ *)
-(* report                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let report_cmd =
-  let run file policy max_events jobs cache =
-    let jobs = resolve_jobs jobs in
-    let trace = load_trace file policy in
-    guard_size trace max_events;
-    let x = Trace.to_execution trace in
-    let sk = Skeleton.of_execution x in
-    check_recorded sk trace;
-    let n = Trace.n_events trace in
-    (* Every section below draws on one session: one reachability memo,
-       one class-level summary, one (cached) race set. *)
-    let session =
-      Session.create ~jobs ~cache:(resolve_cache cache) sk
-    in
-    Format.printf "=== execution ===@.%a@." Trace.pp trace;
-
-    Format.printf "=== feasible executions ===@.";
-    let r = Session.reach session in
-    let count = Reach.schedule_count r in
-    if count >= Reach.count_saturation then
-      Format.printf "feasible schedules: >= 10^18@."
-    else Format.printf "feasible schedules: %d@." count;
-    Format.printf "reachable states:   %d@." (Reach.reachable_state_count r);
-    (match Reach.deadlock_witness r with
-    | None -> Format.printf "reachable deadlock: none@."
-    | Some prefix ->
-        Format.printf "reachable deadlock: yes, e.g. after [%s]@."
-          (String.concat "; "
-             (Array.to_list
-                (Array.map (fun e -> x.Execution.events.(e).Event.label) prefix))));
-
-    Format.printf "@.=== ordering relations (pair counts) ===@.";
-    let s = Relations.of_session_reduced session in
-    Format.printf "distinct classes:   %d@." s.Relations.distinct_classes;
-    List.iter
-      (fun rel ->
-        Format.printf "%-34s %d pairs@."
-          (Relations.relation_name rel)
-          (Rel.pair_count (Relations.to_rel s rel)))
-      Relations.all_relations;
-    let para = Parallelism.analyze sk (Trace.schedule trace) in
-    Format.printf
-      "max concurrency (width): %d of %d events; critical path: %d; \
-       speedup limit: %.2f@."
-      para.Parallelism.width n
-      para.Parallelism.critical_path_length
-      (Parallelism.speedup_limit para);
-
-    Format.printf "@.=== races ===@.";
-    let print_races name races =
-      Format.printf "%-10s %d@." name (List.length races);
-      List.iter (fun race -> Format.printf "  %a@." (Race.pp_race x) race) races
-    in
-    print_races "apparent:" (Race.apparent_races x);
-    print_races "feasible:" (Race.feasible_races_session session);
-    print_races "first:" (Race.first_races_session session);
-
-    Format.printf "@.=== polynomial approximations vs exact MHB ===@.";
-    let d = Decide.of_session session in
-    let mhb_count = ref 0 and missed_by_graph = ref 0 in
-    let egp = Egp.build x in
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if a <> b && Decide.mhb d a b then begin
-          incr mhb_count;
-          if not (Egp.guaranteed_before egp a b) then incr missed_by_graph
-        end
-      done
-    done;
-    Format.printf "exact MHB pairs:            %d@." !mhb_count;
-    Format.printf "missed by the task graph:   %d@." !missed_by_graph;
-    let h = Hmw.of_execution x in
-    Format.printf "HMW phase-3 safe pairs:     %d@."
-      (Rel.pair_count h.Hmw.phase3)
-  in
-  let doc = "one-shot comprehensive analysis: schedules, relations, races, approximations" in
-  Cmd.v
-    (Cmd.info "report" ~doc)
-    Term.(
-      const run $ program_file $ policy_arg $ max_events_arg $ jobs_arg
-      $ cache_arg)
-
-(* ------------------------------------------------------------------ *)
-(* order                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let order_cmd =
-  let label n =
-    let doc = Printf.sprintf "Label of the %s event of the pair." n in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ n ] ~docv:(String.uppercase_ascii n) ~doc)
-  in
-  let run file policy max_events a_label b_label =
-    let trace = load_trace file policy in
-    guard_size trace max_events;
-    let x = Trace.to_execution trace in
-    let a = (Trace.find_event trace a_label).Event.id in
-    let b = (Trace.find_event trace b_label).Event.id in
-    let d = Decide.create x in
-    let show name v = Format.printf "%-40s %b@." name v in
-    show (Printf.sprintf "'%s' MHB '%s':" a_label b_label) (Decide.mhb d a b);
-    show (Printf.sprintf "'%s' CHB '%s':" a_label b_label) (Decide.chb d a b);
-    show (Printf.sprintf "'%s' CHB '%s':" b_label a_label) (Decide.chb d b a);
-    show (Printf.sprintf "'%s' CCW '%s':" a_label b_label) (Decide.ccw d a b);
-    show (Printf.sprintf "'%s' MOW '%s':" a_label b_label) (Decide.mow d a b);
-    (* The witness search shares the session's memoized state engine with
-       the five decisions above. *)
-    let r = Session.reach (Decide.session d) in
-    match Reach.witness_before r b a with
-    | None ->
-        Format.printf "no feasible execution runs '%s' before '%s'@." b_label
-          a_label
-    | Some schedule ->
-        Format.printf "witness schedule running '%s' before '%s':@." b_label
-          a_label;
-        Array.iteri
-          (fun i e ->
-            Format.printf "  %2d  %s@." i x.Execution.events.(e).Event.label)
-          schedule
-  in
-  let doc =
-    "decide the ordering relations for one labelled pair and print a \
-     witness schedule for the reversed order when one exists"
-  in
-  Cmd.v
-    (Cmd.info "order" ~doc)
-    Term.(
-      const run $ program_file $ policy_arg $ max_events_arg $ label "before"
-      $ label "after")
-
-(* ------------------------------------------------------------------ *)
-(* consistent                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let consistent_cmd =
-  let rf_arg =
-    let doc =
-      "Override the reads-from source of one read, as READ=WRITE with \
-       READ and WRITE numeric event ids (WRITE also accepts 'init', \
-       the variable's initial value).  Repeatable.  Reads not \
-       overridden keep the observed source: the last write to their \
-       variable that ran temporally before them."
-    in
-    Arg.(value & opt_all string [] & info [ "rf" ] ~docv:"READ=WRITE" ~doc)
-  in
-  let run file policy max_events model rf_overrides collect fmt =
-    let json = fmt = `Json in
-    resolve_model ~json model;
-    let model = Memmodel.current () in
-    let trace = load_trace ~json file policy in
-    guard_size ~json trace max_events;
-    let x = Trace.to_execution trace in
-    let stats = make_stats collect in
-    let c =
-      match stats with
-      | None -> Counters.null
-      | Some tel ->
-          Telemetry.set_run tel
-            ~engine:(Engine.to_string (Engine.current ()))
-            ~jobs:1;
-          Telemetry.counters tel
-    in
-    let overrides =
-      List.map
-        (fun spec ->
-          let bad () =
-            die_error ~json
-              "--rf expects READ=WRITE with numeric event ids (WRITE also \
-               accepts 'init'); got %S"
-              spec
-          in
-          match String.index_opt spec '=' with
-          | None -> bad ()
-          | Some i ->
-              let read = String.trim (String.sub spec 0 i) in
-              let write =
-                String.trim
-                  (String.sub spec (i + 1) (String.length spec - i - 1))
-              in
-              let read =
-                match int_of_string_opt read with
-                | Some r -> r
-                | None -> bad ()
-              in
-              let write =
-                if write = "init" then -1
-                else match int_of_string_opt write with
-                  | Some w -> w
-                  | None -> bad ()
-              in
-              (read, write))
-        rf_overrides
-    in
-    let observed = Candidate.infer_rf x in
-    List.iter
-      (fun (r, _) ->
-        if
-          not
-            (List.exists
-               (fun (e : Candidate.rf_edge) -> e.Candidate.read = r)
-               observed)
-        then
-          die_error ~json
-            "--rf: event %d is not a shared-variable read of the trace" r)
-      overrides;
-    let rf =
-      List.map
-        (fun (e : Candidate.rf_edge) ->
-          match List.assoc_opt e.Candidate.read overrides with
-          | Some w -> { e with Candidate.write = w }
-          | None -> e)
-        observed
-    in
-    let candidate =
-      try Candidate.make ~rf x
-      with Candidate.Ill_formed msg ->
-        die_error ~json "ill-formed reads-from assignment: %s" msg
-    in
-    let verdict = Candidate.check ~stats:c ~model candidate in
-    let label e = x.Execution.events.(e).Event.label in
-    (match fmt with
-    | `Json ->
-        let rf_json =
-          Jsonout.List
-            (List.map
-               (fun (e : Candidate.rf_edge) ->
-                 Jsonout.Obj
-                   [
-                     ("read", Jsonout.Int e.Candidate.read);
-                     ( "write",
-                       if e.Candidate.write < 0 then Jsonout.Str "init"
-                       else Jsonout.Int e.Candidate.write );
-                     ("variable", Jsonout.Int e.Candidate.var);
-                   ])
-               candidate.Candidate.rf)
-        in
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.consistent/1");
-                ("events", Jsonout.Int (Execution.n_events x));
-                ("model", Jsonout.Str (Memmodel.to_string model));
-                ("rf", rf_json);
-                ( "verdict",
-                  Jsonout.Str
-                    (match verdict with
-                    | Candidate.Consistent _ -> "consistent"
-                    | Candidate.Inconsistent _ -> "inconsistent") );
-              ]
-             @ (match verdict with
-               | Candidate.Consistent w ->
-                   [
-                     ( "witness",
-                       Jsonout.Obj
-                         [
-                           ( "order",
-                             Jsonout.List
-                               (List.map
-                                  (fun e -> Jsonout.Int e)
-                                  (Array.to_list w.Candidate.order)) );
-                           ( "co",
-                             Jsonout.Obj
-                               (List.map
-                                  (fun (v, ws) ->
-                                    ( Printf.sprintf "v%d" v,
-                                      Jsonout.List
-                                        (List.map
-                                           (fun w -> Jsonout.Int w)
-                                           ws) ))
-                                  w.Candidate.co) );
-                         ] );
-                   ]
-               | Candidate.Inconsistent reason ->
-                   [ ("reason", Jsonout.Str reason) ])
-             @ stats_field stats))
-    | `Text ->
-        Format.printf "model: %s@." (Memmodel.to_string model);
-        Format.printf "events: %d@." (Execution.n_events x);
-        List.iter
-          (fun (e : Candidate.rf_edge) ->
-            Format.printf "rf: '%s' (event %d) reads %s on v%d@."
-              (label e.Candidate.read) e.Candidate.read
-              (if e.Candidate.write < 0 then "the initial value"
-               else
-                 Printf.sprintf "'%s' (event %d)" (label e.Candidate.write)
-                   e.Candidate.write)
-              e.Candidate.var)
-          candidate.Candidate.rf;
-        (match verdict with
-        | Candidate.Consistent w ->
-            Format.printf "verdict: consistent under %s@."
-              (Memmodel.to_string model);
-            Format.printf "witness order: %s@."
-              (String.concat "; "
-                 (List.map label (Array.to_list w.Candidate.order)));
-            List.iter
-              (fun (v, ws) ->
-                Format.printf "coherence v%d: %s@." v
-                  (String.concat " -> " (List.map label ws)))
-              w.Candidate.co
-        | Candidate.Inconsistent reason ->
-            Format.printf "verdict: inconsistent under %s@."
-              (Memmodel.to_string model);
-            Format.printf "reason: %s@." reason);
-        print_stats_text stats);
-    match verdict with
-    | Candidate.Consistent _ -> ()
-    | Candidate.Inconsistent _ -> exit 1
-  in
-  let doc =
-    "decide whether a reads-from assignment over the observed events is \
-     consistent under a memory model (--model sc|tso|pso), with a \
-     replayable total-order and coherence witness"
-  in
-  Cmd.v
-    (Cmd.info "consistent" ~doc)
-    Term.(
-      const run $ program_file $ policy_arg $ max_events_arg $ model_arg
-      $ rf_arg $ stats_arg $ format_arg)
-
-(* ------------------------------------------------------------------ *)
-(* explore                                                             *)
-(* ------------------------------------------------------------------ *)
 
 let explore_cmd =
   let source_file =
@@ -1481,10 +841,6 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc) Term.(const run $ source_file)
 
-(* ------------------------------------------------------------------ *)
-(* record                                                              *)
-(* ------------------------------------------------------------------ *)
-
 let record_cmd =
   let output_arg =
     let doc = "Output path for the recorded trace." in
@@ -1500,53 +856,6 @@ let record_cmd =
     (Cmd.info "record" ~doc)
     Term.(const run $ program_file $ policy_arg $ output_arg)
 
-(* ------------------------------------------------------------------ *)
-(* dot                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let dot_cmd =
-  let kind_arg =
-    let doc =
-      "What to render: 'execution' (program order + dependences), 'pinned' \
-       (the observed schedule's pinned partial order), 'taskgraph' \
-       (Emrath-Ghosh-Padua), or a relation name ('mhb', 'chb', 'mcw', \
-       'ccw', 'mow', 'cow')."
-    in
-    Arg.(value & opt string "execution" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
-  let run file policy kind max_events =
-    let trace = load_trace file policy in
-    let x = Trace.to_execution trace in
-    let ppf = Format.std_formatter in
-    match String.lowercase_ascii kind with
-    | "execution" -> Dot.execution ppf x
-    | "pinned" ->
-        Dot.pinned ppf (Skeleton.of_execution x) (Trace.schedule trace)
-    | "taskgraph" -> Dot.task_graph ppf x (Egp.build x)
-    | ("mhb" | "chb" | "mcw" | "ccw" | "mow" | "cow") as name ->
-        guard_size trace max_events;
-        let relation =
-          match name with
-          | "mhb" -> Relations.MHB
-          | "chb" -> Relations.CHB
-          | "mcw" -> Relations.MCW
-          | "ccw" -> Relations.CCW
-          | "mow" -> Relations.MOW
-          | _ -> Relations.COW
-        in
-        let s = Relations.compute (Skeleton.of_execution x) in
-        Dot.relation ppf (x, Relations.to_rel s relation, name)
-    | other -> die_error ~json:false "unknown --kind %s" other
-  in
-  let doc = "render executions, pinned orders, task graphs or relations as DOT" in
-  Cmd.v
-    (Cmd.info "dot" ~doc)
-    Term.(const run $ program_file $ policy_arg $ kind_arg $ max_events_arg)
-
-(* ------------------------------------------------------------------ *)
-(* fuzz                                                                *)
-(* ------------------------------------------------------------------ *)
-
 let fuzz_cmd =
   let count_arg =
     let doc = "Number of random programs to check." in
@@ -1561,6 +870,8 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "binary" ] ~doc)
   in
   let run count seed binary =
+    cli @@ fun () ->
+    select ();
     let cfg = { Progen.default_config with Progen.binary_semaphores = binary } in
     let failures = ref 0 in
     let checked = ref 0 in
@@ -1616,12 +927,10 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc) Term.(const run $ count_arg $ seed_arg $ binary_arg)
 
-(* ------------------------------------------------------------------ *)
-(* figure1                                                             *)
-(* ------------------------------------------------------------------ *)
-
 let figure1_cmd =
   let run () =
+    cli @@ fun () ->
+    select ();
     Format.printf "%s@.@." Figure1.source;
     let tr = Figure1.trace () in
     Format.printf "%a@." Trace.pp tr;
@@ -1631,7 +940,7 @@ let figure1_cmd =
     let d = Decide.create x in
     let show name a b =
       Format.printf "%-20s exact MHB: %-5b   task graph claims: %b@." name
-        (Decide.mhb d a b)
+        (Decide.holds d Relations.MHB a b)
         (Egp.guaranteed_before egp a b)
     in
     show "post1 -> post2" ev.Figure1.post1 ev.Figure1.post2;
@@ -1642,81 +951,7 @@ let figure1_cmd =
   Cmd.v (Cmd.info "figure1" ~doc) Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* batch                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Many queries, one session: a single enumeration pass, reachability
-   memo and cache entry set answer every query on the command line, so
-   asking six questions costs barely more than asking one. *)
-let batch_cmd =
-  let queries_arg =
-    let doc =
-      "Queries to answer, in order.  Whole-program: 'relations' (the six \
-       matrices by full enumeration), 'reduced' (the same by the \
-       class-level engine), 'races' (feasible races), 'first' (first \
-       races), 'schedules' (the feasible-schedule count).  Per-pair: \
-       REL:A:B with REL one of mhb, chb, mcw, ccw, mow, cow and A, B \
-       event labels (e.g. mhb:w1:r2)."
-    in
-    Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"QUERY" ~doc)
-  in
-  let run file policy limit timeout max_events jobs engine model collect fmt
-      cache queries =
-    let json = fmt = `Json in
-    let jobs = resolve_jobs ~json jobs in
-    resolve_engine ~json engine;
-    resolve_model ~json model;
-    let budget = resolve_budget ~json timeout in
-    let trace = load_trace ~json file policy in
-    guard_size ~json trace max_events;
-    let x = Trace.to_execution trace in
-    let stats = make_stats collect in
-    let session =
-      Session.of_execution ?limit ~jobs ?stats ~budget
-        ~cache:(resolve_cache cache) x
-    in
-    (* Query parsing, answering and rendering are [Api]'s — the same
-       code path the analysis server runs, so the two surfaces cannot
-       disagree. *)
-    let results = or_die_api ~json (fun () -> Api.answers session trace x queries) in
-    (match fmt with
-    | `Json ->
-        print_json
-          (Jsonout.Obj
-             ([
-                ("schema", Jsonout.Str "eventorder.batch/1");
-              ]
-             @ status_field budget
-             @ [
-                ("events", Jsonout.Int (Execution.n_events x));
-                ( "program_key",
-                  Jsonout.Str (Program_key.hash (Session.key session)) );
-                ("engine", Jsonout.Str (Engine.to_string (Engine.current ())));
-                ("jobs", Jsonout.Int jobs);
-                ( "results",
-                  Jsonout.List (List.map (Api.result_json x) results) );
-              ]
-             @ stats_field stats))
-    | `Text ->
-        List.iter
-          (fun r -> Format.printf "%a" (Api.pp_result x) r)
-          results;
-        print_stats_text stats);
-    finish_budget ~json budget
-  in
-  let doc =
-    "answer many queries about one program from a single shared analysis \
-     session"
-  in
-  Cmd.v
-    (Cmd.info "batch" ~doc)
-    Term.(
-      const run $ program_file $ policy_arg $ limit_arg $ timeout_arg
-      $ max_events_arg $ jobs_arg $ engine_arg $ model_arg $ stats_arg
-      $ format_arg $ cache_arg $ queries_arg)
-
-(* ------------------------------------------------------------------ *)
-(* serve                                                               *)
+(* serve and client                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let socket_arg =
@@ -1764,40 +999,15 @@ let serve_cmd =
   in
   let run socket host port workers max_queue max_memory limit timeout
       max_events jobs engine model cache =
-    let jobs = resolve_jobs jobs in
+    cli @@ fun () ->
+    (* The flags are per-request defaults, not a process-global set:
+       each request resolves request > flag > environment. *)
+    let api =
+      Api.config_of_flags ?engine ?model ?jobs ?limit ?timeout_ms:timeout
+        ?cache ~max_events ()
+    in
     if workers < 1 then die_error ~json:false "--workers must be at least 1";
     if max_queue < 0 then die_error ~json:false "--max-queue must be >= 0";
-    let model =
-      match model with
-      | None -> None
-      | Some s -> (
-          match Memmodel.of_string s with
-          | Some _ as m -> m
-          | None ->
-              die_error ~json:false "unknown --model %S (valid models: %s)" s
-                (String.concat ", " Config.model_names))
-    in
-    let timeout_ms =
-      match timeout with
-      | Some ms when ms >= 1 -> Some ms
-      | Some ms ->
-          die_error ~json:false
-            "--timeout must be at least 1 millisecond (got %d)" ms
-      | None -> Config.timeout_ms ()
-    in
-    let api =
-      {
-        (* The flag is a per-request default, not a process-global set:
-           each request resolves request > flag > environment. *)
-        Api.engine;
-        model;
-        limit;
-        jobs;
-        max_events;
-        timeout_ms;
-        cache = resolve_cache cache;
-      }
-    in
     let endpoint =
       match endpoint_of socket port host with
       | `Unix path -> Server.Unix_socket path
@@ -1823,10 +1033,6 @@ let serve_cmd =
       const run $ socket_arg $ host_arg $ port_arg $ workers_arg
       $ max_queue_arg $ max_memory_arg $ limit_arg $ timeout_arg
       $ max_events_arg $ jobs_arg $ engine_arg $ model_arg $ cache_arg)
-
-(* ------------------------------------------------------------------ *)
-(* client                                                              *)
-(* ------------------------------------------------------------------ *)
 
 let client_cmd =
   let op_arg =
@@ -1855,12 +1061,6 @@ let client_cmd =
     in
     Arg.(value & opt int 40 & info [ "connect-retries" ] ~docv:"N" ~doc)
   in
-  let policy_string = function
-    | Sched.Round_robin -> "rr"
-    | Sched.Priority -> "priority"
-    | Sched.Random seed -> Printf.sprintf "random:%d" seed
-    | Sched.Replay _ -> "rr"
-  in
   let run socket host port op file engine model limit timeout jobs collect
       policy retries queries =
     let json = true in
@@ -1880,39 +1080,27 @@ let client_cmd =
           let text =
             In_channel.with_open_bin file In_channel.input_all
           in
-          [ ("op", Jsonout.Str "batch") ]
+          let opt k f = function Some v -> [ (k, f v) ] | None -> [] in
+          let str s = Jsonout.Str s and int i = Jsonout.Int i in
+          [ ("op", str "batch") ]
           @ (if Filename.check_suffix file ".eotrace" then
-               [ ("trace", Jsonout.Str text) ]
-             else [ ("program", Jsonout.Str text) ])
-          @ [
-              ( "queries",
-                Jsonout.List (List.map (fun q -> Jsonout.Str q) queries) );
-            ]
+               [ ("trace", str text) ]
+             else [ ("program", str text) ])
+          @ [ ("queries", Jsonout.List (List.map str queries)) ]
           @ (match policy with
             | Sched.Round_robin -> []
-            | p -> [ ("policy", Jsonout.Str (policy_string p)) ])
-          @ (match engine with
-            | Some e -> [ ("engine", Jsonout.Str (Engine.to_string e)) ]
-            | None -> [])
-          (* Shipped raw: the server validates the model vocabulary and
-             answers eventorder.error/1 on drift, same as engine. *)
-          @ (match model with
-            | Some m -> [ ("model", Jsonout.Str m) ]
-            | None -> [])
-          @ (match limit with
-            | Some l -> [ ("limit", Jsonout.Int l) ]
-            | None -> [])
-          @ (match timeout with
-            | Some ms -> [ ("timeout_ms", Jsonout.Int ms) ]
-            | None -> [])
-          @ (match jobs with
-            | Some j -> [ ("jobs", Jsonout.Int j) ]
-            | None -> [])
+            | p -> [ ("policy", str (Api.policy_to_string p)) ])
+          (* Engine and model are shipped raw: the server validates them
+             and answers eventorder.error/1 on drift. *)
+          @ opt "engine" str engine
+          @ opt "model" str model
+          @ opt "limit" int limit
+          @ opt "timeout_ms" int timeout
+          @ opt "jobs" int jobs
           @ if collect then [ ("stats", Jsonout.Bool true) ] else []
     in
     let request =
-      Jsonout.Obj
-        (("schema", Jsonout.Str "eventorder.request/1") :: request)
+      Jsonout.Obj (("schema", Jsonout.Str Api.request_schema) :: request)
     in
     let domain, addr =
       match endpoint_of ~json socket port host with
@@ -1971,9 +1159,10 @@ let client_cmd =
         die_error ~json:false "malformed response from the server: %s" msg
     | Ok doc ->
         print_json doc;
-        (* Exit contract mirrors the CLI: 2 for error/1 responses (3
-           when the error itself is the deadline), 3 for a partial
-           (status "timeout") analysis, 0 otherwise. *)
+        (* Exit contract mirrors the CLI: 2 for error/1 responses, the
+           internal code included (3 when the error itself is the
+           deadline), 3 for a partial (status "timeout") analysis, 0
+           otherwise. *)
         let field k =
           match doc with
           | Jsonout.Obj fields -> List.assoc_opt k fields
@@ -1981,7 +1170,7 @@ let client_cmd =
         in
         let code =
           match field "schema" with
-          | Some (Jsonout.Str "eventorder.error/1") -> (
+          | Some (Jsonout.Str schema) when schema = Api.error_schema -> (
               match field "code" with
               | Some (Jsonout.Str "timeout") -> 3
               | _ -> 2)

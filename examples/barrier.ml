@@ -43,8 +43,8 @@ let () =
   for i = 0 to workers - 1 do
     for j = 0 to workers - 1 do
       if i <> j then begin
-        assert (Decide.ccw d (r1 i) (r1 j));
-        assert (Decide.ccw d (r2 i) (r2 j))
+        assert (Decide.holds d Relations.CCW (r1 i) (r1 j));
+        assert (Decide.holds d Relations.CCW (r2 i) (r2 j))
       end
     done
   done;
@@ -53,7 +53,7 @@ let () =
   (* Cross-barrier guarantee. *)
   for i = 0 to workers - 1 do
     for j = 0 to workers - 1 do
-      assert (Decide.mhb d (r1 i) (r2 j))
+      assert (Decide.holds d Relations.MHB (r1 i) (r2 j))
     done
   done;
   Format.printf
@@ -61,7 +61,7 @@ let () =
 
   (* Width: the maximum number of events that can be simultaneously in
      flight in the observed schedule class. *)
-  let sk = Decide.skeleton d in
+  let sk = Session.skeleton (Decide.session d) in
   let po = Pinned.po_of_schedule sk (Trace.schedule trace) in
   let width = Antichain.width po in
   Format.printf

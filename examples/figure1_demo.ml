@@ -17,7 +17,7 @@ let () =
   let d = Decide.create x in
   let show name a b =
     Format.printf "  %-22s exact MHB: %-5b  task graph: %b@." name
-      (Decide.mhb d a b)
+      (Decide.holds d Relations.MHB a b)
       (Egp.guaranteed_before egp a b)
   in
   Format.printf "Guaranteed orderings, exact engine vs task graph:@.";
@@ -27,7 +27,7 @@ let () =
   show "post1 -> write_x" ev.Figure1.post1 ev.Figure1.write_x;
 
   (* The paper's core claim about this figure, machine-checked: *)
-  assert (Decide.mhb d ev.Figure1.post1 ev.Figure1.post2);
+  assert (Decide.holds d Relations.MHB ev.Figure1.post1 ev.Figure1.post2);
   assert (not (Egp.guaranteed_before egp ev.Figure1.post1 ev.Figure1.post2));
   Format.printf
     "@.The two posts cannot execute in either order (the dependence forces@.\

@@ -48,18 +48,18 @@ let () =
   (* No order between the bodies is forced: either branch can win, and
      after the rescue they can even overlap. *)
   Format.printf "in1 MHB in2 (is an order forced?):       %b@."
-    (Decide.mhb d in1 in2);
+    (Decide.holds d Relations.MHB in1 in2);
   Format.printf "in1 CHB in2 (branch 1 can go first):     %b@."
-    (Decide.chb d in1 in2);
+    (Decide.holds d Relations.CHB in1 in2);
   Format.printf "in2 CHB in1 (branch 2 can go first):     %b@."
-    (Decide.chb d in2 in1);
+    (Decide.holds d Relations.CHB in2 in1);
   Format.printf "in1 CCW in2 (overlap after the rescue):  %b@."
-    (Decide.ccw d in1 in2);
+    (Decide.holds d Relations.CCW in1 in2);
 
   (* The exclusion guarantee is about the first pass: count, over every
      feasible schedule, how often each body runs before the rescue — and
      check that they never both do. *)
-  let sk = Decide.skeleton d in
+  let sk = Session.skeleton (Decide.session d) in
   let wins_in1 = ref 0 and wins_in2 = ref 0 and both = ref 0 and total = ref 0 in
   let position = Array.make sk.Skeleton.n 0 in
   let (_ : int) =

@@ -46,8 +46,8 @@ let () =
   let id label = (Trace.find_event trace label).Event.id in
   let decide = Decide.create execution in
   let show name v = Format.printf "%-34s %b@." name v in
-  show "x:=1 MHB y:=x (through V/P):" (Decide.mhb decide (id "x := 1") (id "y := x"));
-  show "z:=42 CCW y:=x (free bystander):" (Decide.ccw decide (id "z := 42") (id "y := x"));
-  show "y:=x CHB x:=1 (never):" (Decide.chb decide (id "y := x") (id "x := 1"));
+  show "x:=1 MHB y:=x (through V/P):" (Decide.holds decide Relations.MHB (id "x := 1") (id "y := x"));
+  show "z:=42 CCW y:=x (free bystander):" (Decide.holds decide Relations.CCW (id "z := 42") (id "y := x"));
+  show "y:=x CHB x:=1 (never):" (Decide.holds decide Relations.CHB (id "y := x") (id "x := 1"));
   Format.printf "feasible schedules: %d@."
     summary.Relations.feasible_count

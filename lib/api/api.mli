@@ -1,26 +1,37 @@
-(** The transport-agnostic request API every front end routes through.
+(** The one answer path: every front end resolves its settings here,
+    and every [eventorder.*/1] document is answered and rendered here.
 
-    One dispatcher, two transports: the [batch] subcommand feeds it
-    cmdliner arguments, the analysis server ({!Server}) feeds it
-    newline-delimited [eventorder.request/1] documents — both end up in
-    the same query parser, the same {!Session}-backed answering code and
-    the same JSON rendering, so the two surfaces cannot drift apart.
+    Each CLI subcommand hands its flags to {!config_of_flags} and
+    {!resolve}.  The ones with a document ([analyze], [races],
+    [schedules], [batch], [reduce], [consistent]) then print the {!doc}
+    one of the one-shot functions returns; the [batch] subcommand and
+    the analysis server ({!Server}, which feeds {!handle_line}
+    newline-delimited [eventorder.request/1] documents) share the same
+    query parser, the same {!Session}-backed answering code and the same
+    renderers, so no two surfaces can drift apart.  The text-only
+    reports ([report], [order], [taskgraph], ...) call the library
+    directly under the settings resolved here.
 
     The module is organised bottom-up:
 
     - {b errors}: every user-facing failure is an {!Error} carrying a
       machine-readable {!error_code}; transports render it as an
       [eventorder.error/1] document (the CLI also maps it to exit 2).
+    - {b settings}: one resolver turns request, flag and environment
+      values into the engine, model, jobs, limit, budget and cache of a
+      run, by request > flag > environment > default.
     - {b queries}: the textual query language ([relations], [reduced],
       [races], [first], [schedules], [REL:A:B]) with the label-or-id
-      event pair resolution that used to live in the CLI.
+      event pair resolution.
     - {b answering}: {!answers} runs a query list against a shared
       {!Session.t}; each {!result} carries its own [timed_out] flag, so
       a response can say per entry whether the deadline truncated it.
+    - {b documents}: one renderer per [eventorder.*/1] schema and its
+      text form, all sharing one envelope ([schema], [status], [events],
+      [engine], [jobs], [stats]).
     - {b requests}: the wire layer — parse one [eventorder.request/1]
       line, run it under a server {!config}, produce one response
-      document.  {!handle_line} never raises; malformed input becomes an
-      [eventorder.error/1] response. *)
+      document.  {!handle_line} never raises. *)
 
 (** {2 Errors} *)
 
@@ -29,20 +40,118 @@ type error_code =
   | Usage  (** a well-formed request asking something invalid *)
   | Timeout  (** the deadline expired before the analysis could start *)
   | Overload  (** the server's admission queue is full *)
+  | Internal  (** a defect: an exception escaped the analysis *)
 
 val code_string : error_code -> string
-(** ["parse"], ["usage"], ["timeout"], ["overload"] — the [code] field
-    of [eventorder.error/1]. *)
+(** ["parse"], ["usage"], ["timeout"], ["overload"], ["internal"] — the
+    [code] field of [eventorder.error/1]. *)
 
 exception Error of error_code * string
 
 val errorf : error_code -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [errorf code fmt ...] raises {!Error} with the formatted message. *)
 
+val error_schema : string
+(** ["eventorder.error/1"]. *)
+
+val request_schema : string
+(** ["eventorder.request/1"]. *)
+
 val error_doc : ?id:Jsonout.t -> code:error_code -> string -> Jsonout.t
 (** The [eventorder.error/1] document: [{schema; id?; code; error}].
     [?id] echoes the failing request's id so a pipelining client can
     match the error to its request. *)
+
+(** {2 Settings} *)
+
+type config = {
+  engine : Engine.t option;
+      (** flag-layer engine; [None] defers to the library default
+          ({!Engine.default_of_env}) *)
+  model : Memmodel.t option;  (** flag-layer memory model, likewise *)
+  limit : int option;
+  jobs : int;  (** worker-domain cap; requests can lower it, not raise *)
+  max_events : int;  (** admission guard on the exponential engines *)
+  timeout_ms : int option;
+      (** deadline cap: a request deadline is clamped to this, and
+          requests without one inherit it *)
+  cache : Session.cache;
+}
+(** The flag layer of a run: a server's configuration, or a CLI
+    subcommand's flags. *)
+
+val default_config : unit -> config
+(** Engine/model/limit unset, jobs from [EO_JOBS], 40-event guard,
+    timeout from [EO_TIMEOUT_MS], the default cache. *)
+
+val config_of_flags :
+  ?engine:string -> ?model:string -> ?jobs:int -> ?limit:int ->
+  ?timeout_ms:int -> ?cache:string -> ?max_events:int -> unit -> config
+(** Validates each flag once — an engine or model outside
+    {!Config.engine_names}/{!Config.model_names}, or a [--jobs],
+    [--limit] or [--timeout] below 1, raises {!Error} [Usage] naming
+    the flag — and falls back to the environment for absent ones:
+    [EO_ENGINE] and [EO_MODEL] strictly (a malformed value raises
+    {!Error} [Usage]), [EO_JOBS], [EO_TIMEOUT_MS] and [EO_CACHE_DIR] as
+    {!Config} reads them.  A relative [cache] directory is anchored at
+    the current directory. *)
+
+type op =
+  | Batch  (** run queries against a program or trace *)
+  | Stats  (** server counters and health *)
+  | Ping  (** liveness probe *)
+  | Shutdown  (** ask the server to drain and exit *)
+
+type request = {
+  id : Jsonout.t option;  (** echoed verbatim in the response *)
+  op : op;
+  program : string option;  (** program source text *)
+  trace_text : string option;  (** recorded [eotrace] text *)
+  policy : Sched.policy;  (** scheduling policy for [program] runs *)
+  queries : string list;
+  engine : Engine.t option;
+  model : Memmodel.t option;
+  limit : int option;
+  timeout_ms : int option;
+  jobs : int option;
+  collect_stats : bool;  (** include telemetry in the response *)
+}
+
+type settings = {
+  engine : Engine.t;
+  model : Memmodel.t;
+  jobs : int;
+  limit : int option;
+  budget : Budget.t;  (** started when the settings were resolved *)
+  cache : Session.cache;
+}
+(** Everything a run is decided under, resolved once. *)
+
+val resolve : ?request:request -> config -> settings
+(** Request > [config] > library default.  The request's deadline is
+    clamped to [config.timeout_ms], its [jobs] to [config.jobs]; a
+    request [timeout_ms], [jobs] or [limit] below 1 raises {!Error}
+    [Usage].  The only caller of [Engine.set]/[Memmodel.set] in the
+    library: the resolved engine and model are selected domain-locally
+    for the sessions and skeletons made after this call on this domain,
+    which read them once, so concurrent requests on other domains never
+    see each other's choice. *)
+
+(** {2 Inputs} *)
+
+val check_size : who:string -> max_events:int -> int -> unit
+(** Refuses ({!Error} [Usage]) a trace of more events than [max_events];
+    [who] names whose limit it is (["the configured"], ["the
+    server's"]). *)
+
+val check_recorded : Skeleton.t -> Trace.t -> unit
+(** Raises {!Error} [Parse] when the trace's recorded schedule does not
+    replay. *)
+
+val policy_of_string : string -> Sched.policy
+(** ["rr"], ["priority"] or ["random:SEED"]; {!Error} [Usage] otherwise. *)
+
+val policy_to_string : Sched.policy -> string
 
 (** {2 Queries} *)
 
@@ -75,6 +184,10 @@ type query =
 val query_of_string : string -> query
 (** Raises {!Error} [Usage] on unknown queries or relations. *)
 
+val stream_query : n:int -> string -> Triage.stream_relation * int * int
+(** A streaming [--query]: [mhb] or [chb] between numeric event ids in
+    [\[0, n)]; {!Error} [Usage] otherwise. *)
+
 (** {2 Answering} *)
 
 type answer =
@@ -105,42 +218,60 @@ val answers : Session.t -> Trace.t -> Execution.t -> string list -> result list
     Raises {!Error} [Usage] on an unparsable query, and {!Error} [Parse]
     on a [first] query whose recorded schedule does not replay. *)
 
-val json_of_rel : Rel.t -> Jsonout.t
-(** A relation as a JSON list of [[a, b]] pairs. *)
-
-val json_of_race : Execution.t -> Race.race -> Jsonout.t
+(** {2 Documents} *)
 
 val result_json : Execution.t -> result -> Jsonout.t
 (** One entry of a [batch]/[response] [results] array.  Every entry
     carries [query] and [status] (["ok"] or ["timeout"], from
     [timed_out]) plus the answer-specific fields. *)
 
-val pp_result : Execution.t -> Format.formatter -> result -> unit
-(** Text rendering, ["-- query --"] header included — what [batch
-    --format text] prints per query. *)
+type doc = {
+  json : unit -> Jsonout.t;  (** the [eventorder.*/1] document *)
+  text : Format.formatter -> unit;  (** its text form *)
+  exit_code : int;
+      (** 0 success, 1 the analysis check failed ([consistent]: the
+          assignment is inconsistent), 3 the deadline expired (the
+          document is partial and its [status] reads ["timeout"]) *)
+}
+(** One answered one-shot command, ready to print.  With [~stats:true]
+    both forms end with the run's telemetry report. *)
+
+val analyze :
+  settings -> stats:bool -> reduced:bool -> all:bool -> Trace.t -> doc
+(** [eventorder.analyze/1]: the six Table 1 matrices (by full
+    enumeration, or by the class-level engine under [reduced], which
+    ignores the limit), the observed width, and with [all] the feasible
+    and first races of the same session. *)
+
+val schedules : settings -> stats:bool -> Trace.t -> doc
+(** [eventorder.schedules/1]: feasible-schedule and reachable-state
+    counts and deadlock reachability, by the counting DP. *)
+
+val races : settings -> stats:bool -> witness:bool -> Trace.t -> doc
+(** [eventorder.races/1]: candidate, apparent, feasible and first races,
+    with [witness] the two interleavings of each feasible race. *)
+
+val races_stream :
+  settings -> stats:bool -> queries:(Triage.stream_relation * int * int) list ->
+  Bigtrace.t -> doc
+(** [eventorder.races_stream/1]: tier-1 triage of a columnar trace
+    ({!Triage.races_big}), with per-pair verdicts for [queries]. *)
+
+val batch : settings -> stats:bool -> Trace.t -> string list -> doc
+(** [eventorder.batch/1]: {!answers} over one session. *)
+
+val reduce :
+  settings -> stats:bool -> style:[ `Sem | `Event ] -> decide:bool -> Cnf.t ->
+  doc
+(** [eventorder.reduce/1]: the Theorem 1/2 (semaphore) or 3/4 (event)
+    reduction program of a formula, with [decide] the theorem checks. *)
+
+val consistent : settings -> stats:bool -> rf:string list -> Trace.t -> doc
+(** [eventorder.consistent/1]: is the observed reads-from assignment,
+    with each [READ=WRITE] override of [rf] applied, consistent under
+    the settings' model?  Exit code 1 when it is not. *)
 
 (** {2 Requests — the wire layer} *)
-
-type op =
-  | Batch  (** run queries against a program or trace *)
-  | Stats  (** server counters and health *)
-  | Ping  (** liveness probe *)
-  | Shutdown  (** ask the server to drain and exit *)
-
-type request = {
-  id : Jsonout.t option;  (** echoed verbatim in the response *)
-  op : op;
-  program : string option;  (** program source text *)
-  trace_text : string option;  (** recorded [eotrace] text *)
-  policy : Sched.policy;  (** scheduling policy for [program] runs *)
-  queries : string list;
-  engine : Engine.t option;
-  model : Memmodel.t option;  (** memory model; see {!config.model} *)
-  limit : int option;
-  timeout_ms : int option;
-  jobs : int option;
-  collect_stats : bool;  (** include telemetry in the response *)
-}
 
 val request_of_json : Jsonout.t -> request
 (** Validates one [eventorder.request/1] document.  Raises {!Error}
@@ -158,29 +289,6 @@ val request_id_of_line : string -> Jsonout.t option
 (** Best-effort id recovery, for error responses produced without
     running {!handle_line} (queue rejections).  Never raises. *)
 
-type config = {
-  engine : Engine.t option;
-      (** server-side default; a request's [engine] wins, absence of
-          both falls back to [EO_ENGINE]/packed *)
-  model : Memmodel.t option;
-      (** server-side default memory model; same resolution as
-          [engine] (request > flag > [EO_MODEL]/sc).  The resolved
-          engine and model are set domain-locally per request, read
-          once by the request's session when it is made, and baked
-          into its cache key, so cached answers never cross models *)
-  limit : int option;
-  jobs : int;  (** worker-domain cap; requests can lower it, not raise *)
-  max_events : int;  (** admission guard on the exponential engines *)
-  timeout_ms : int option;
-      (** server-side deadline cap: a request deadline is clamped to
-          this, and requests without one inherit it *)
-  cache : Session.cache;
-}
-
-val default_config : unit -> config
-(** Engine/limit unset, jobs from [EO_JOBS], 40-event guard, timeout
-    from [EO_TIMEOUT_MS], the default cache. *)
-
 type handled = {
   response : Jsonout.t;  (** exactly one document to write back *)
   shutdown : bool;  (** the client asked the server to stop *)
@@ -196,9 +304,12 @@ val handle_line :
   config ->
   string ->
   handled
-(** [handle_line config line] parses and runs one request line.  Never
-    raises: every failure becomes an [eventorder.error/1] response
-    (with the request id when one was recovered).
+(** [handle_line config line] parses and runs one request line, its
+    settings resolved by {!resolve} against [config].  Never raises:
+    every failure becomes an [eventorder.error/1] response (with the
+    request id when one was recovered) — input errors with their own
+    code, and any other exception, a defect, with code [internal], so
+    the domain that ran the request lives on.
 
     [?allow_shutdown] (default [false]) gates the [shutdown] op —
     refusing it is a [Usage] error, so an unprivileged transport can

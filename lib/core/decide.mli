@@ -1,89 +1,48 @@
 (** Per-pair decision procedures for the ordering relations.
 
-    {!Relations.compute} exhausts all feasible schedules to fill every
-    matrix at once; when only a single pair matters (as in the Theorem 1–4
-    experiments, which ask about one [(a, b)]), the happened-before
-    relations can be decided by memoized state-space reachability instead —
-    usually exponentially fewer states than schedules.  The concurrency
-    relations still require per-class partial orders and fall back to
-    enumeration.
-
-    [?limit] and [?jobs] (defaults: unlimited, [1]) carry the uniform
-    enumeration semantics: both are handed to
-    {!Relations.compute_reduced} when the lazy class-level summary is
-    materialized (a [limit] caps its representative walk), while
-    per-pair reachability queries stay sequential (they share one memo
-    table) and are unaffected by either.  [?stats] threads one
-    {!Telemetry.t} through the reachability engine and the summary. *)
+    {!Relations.of_session} exhausts all feasible schedules to fill every
+    matrix at once; when only a single pair matters (as in the Theorem
+    1–4 experiments, which ask about one [(a, b)]), the happened-before
+    relations are decided by memoized state-space reachability instead —
+    usually exponentially fewer states than schedules.  MHB and CHB go
+    through {!Session.must_before}/{!Session.exists_before}, CCW through
+    {!Session.exists_race} (some reachable context runs the pair
+    back-to-back in both orders), MOW is [feasible && not CCW], and MCW
+    and COW read the session's class-level summary
+    ({!Relations.of_session_reduced}: sleep-set partial-order reduction —
+    still exponential in the worst case, but exponentially cheaper than
+    raw enumeration on traces with independent events). *)
 
 type t
 
 val of_session : Session.t -> t
 (** A decision procedure riding a shared {!Session}: reachability
     queries go through the session's single memoized {!Reach} engine and
-    the lazy class-level summary is the session's (cached)
-    [summary_reduced] — so many per-pair queries, the full matrices and
-    the race analysis can all amortize one session. *)
+    the class-level summary is the session's (cached) [summary_reduced]
+    — so many per-pair queries, the full matrices and the race analysis
+    can all amortize one session.  Under the auto engine the session's
+    ladder starts at the triage layer's tier-1 oracle. *)
 
 val create :
   ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> ?budget:Budget.t ->
   Execution.t -> t
-(** One-shot wrapper: a private cache-disabled session per call.
-    [?budget] bounds every engine behind the decision procedure; expiry
-    degrades each relation in its sound direction (see
-    {!holds_outcome}), never as an exception. *)
-
-val of_skeleton :
-  ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> ?budget:Budget.t ->
-  Skeleton.t -> t
+(** One-shot form: a private cache-disabled session.  [?budget] bounds
+    every engine behind the decision procedure; expiry degrades each
+    relation in its sound direction (see {!holds_outcome}), never as an
+    exception. *)
 
 val session : t -> Session.t
-
-val skeleton : t -> Skeleton.t
 
 val stats_commit : t -> unit
 (** Folds the reachability engine's memo-table probe/resize totals into
     the counters ({!Reach.stats_commit}); call before reading a stats
     report. *)
 
-val mhb : t -> int -> int -> bool
-(** Must-have-happened-before, via {!Session.must_before} (memoized
-    reachability, or a refuting SAT probe under [Engine.Sat]). *)
-
-val chb : t -> int -> int -> bool
-(** Could-have-happened-before, via {!Session.exists_before}. *)
-
-val ccw : t -> int -> int -> bool
-(** Could-have-been-concurrent-with, via {!Session.exists_race}
-    (state-based: some reachable context runs the pair back-to-back in
-    both orders; a two-copy common-prefix formula under [Engine.Sat]). *)
-
-val mow : t -> int -> int -> bool
-(** Must-have-been-ordered-with: [feasible && not ccw]. *)
-
-val mcw : t -> int -> int -> bool
-(** Must-have-been-concurrent-with, via the class-level summary
-    ({!Relations.compute_reduced}: sleep-set partial-order reduction).
-    Still exponential in the worst case, but exponentially cheaper than
-    raw enumeration on traces with independent events. *)
-
-val cow : t -> int -> int -> bool
-(** Could-have-been-ordered-with, class-level like {!mcw}. *)
+val holds_outcome : t -> Relations.relation -> int -> int -> bool Budget.outcome
+(** Does [a relation b]?  [Bound_hit] when the session budget expired
+    somewhere under the query, in which case the value errs in the
+    relation's sound direction — must-relations report [true]
+    (over-approximation), could-relations [false] (under-reporting). *)
 
 val holds : t -> Relations.relation -> int -> int -> bool
-
-val holds_outcome : t -> Relations.relation -> int -> int -> bool Budget.outcome
-(** {!holds} with degradation made explicit: [Bound_hit] when the
-    session budget expired somewhere under the query, in which case the
-    value errs in the relation's sound direction — must-relations report
-    [true] (over-approximation), could-relations [false]
-    (under-reporting). *)
-
-val mhb_outcome : t -> int -> int -> bool Budget.outcome
-val chb_outcome : t -> int -> int -> bool Budget.outcome
-val ccw_outcome : t -> int -> int -> bool Budget.outcome
-val mow_outcome : t -> int -> int -> bool Budget.outcome
-val mcw_outcome : t -> int -> int -> bool Budget.outcome
-val cow_outcome : t -> int -> int -> bool Budget.outcome
-
-val feasible_count : t -> int
+(** [Budget.value] of {!holds_outcome}. *)

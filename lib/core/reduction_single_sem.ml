@@ -111,4 +111,4 @@ let check instance =
   let tr = trace red in
   let a, b = events_ab red tr in
   let d = Decide.create (Trace.to_execution tr) in
-  (Decide.chb d b a, Sequencing.feasible instance)
+  (Decide.holds d Relations.CHB b a, Sequencing.feasible instance)

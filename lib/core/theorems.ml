@@ -20,11 +20,11 @@ let decide_with decide ~relation ~satisfiable a b =
   let verdict =
     match relation with
     | `Mhb_ab ->
-        let o = Decide.mhb_outcome decide a b in
+        let o = Decide.holds_outcome decide Relations.MHB a b in
         let h = Budget.value o in
         (h, h = not satisfiable, not (Budget.is_exact o))
     | `Chb_ba ->
-        let o = Decide.chb_outcome decide b a in
+        let o = Decide.holds_outcome decide Relations.CHB b a in
         let h = Budget.value o in
         (h, h = satisfiable, not (Budget.is_exact o))
   in

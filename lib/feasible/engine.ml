@@ -6,13 +6,10 @@ let to_string = function
   | Sat -> "sat"
   | Auto -> "auto"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "naive" -> Some Naive
-  | "packed" -> Some Packed
-  | "sat" -> Some Sat
-  | "auto" -> Some Auto
-  | _ -> None
+let all = [ Naive; Packed; Sat; Auto ]
+
+(* By construction: a name is accepted iff some engine prints as it. *)
+let of_string s = List.find_opt (fun e -> to_string e = s) all
 
 let default_of_env () =
   match of_string (Config.engine ()) with Some e -> e | None -> Packed

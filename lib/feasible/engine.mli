@@ -40,5 +40,13 @@ val default_of_env : unit -> t
     next. *)
 
 val to_string : t -> string
+(** ["naive"], ["packed"], ["sat"], ["auto"] — the vocabulary in
+    {!Config.engine_names}. *)
+
+val all : t list
+(** Every engine, in {!Config.engine_names} order. *)
 
 val of_string : string -> t option
+(** The engine of {!all} that {!to_string} prints as the argument, so it
+    accepts exactly those names; [None] for anything else
+    ([Config.engine_of_string] folds case and whitespace first). *)

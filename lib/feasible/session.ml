@@ -251,14 +251,13 @@ let auto_sat_cap = 128
 (* Each engine as its list of tiers.  [reach] is the state engine over
    the whole [budget] (a session shares it with its summaries and
    counts); the auto ladder's tiers 2–4 each run under their own
-   [Budget.sub] slice, made on first use, once per ladder.  [on_encode]
-   runs when the sat engine first compiles its formula. *)
-let ladder ?(on_encode = ignore) engine ~c ~budget ~oracle ~reach sk =
+   [Budget.sub] slice, made on first use, once per ladder. *)
+let ladder engine ~c ~budget ~oracle ~reach sk =
   let make tiers reaches = { tiers; lc = c; lbudget = budget; reaches } in
   let encoder budget = Encode.build ~stats:c ~budget (encode_program sk) in
   match engine with
   | Engine.Naive | Engine.Packed -> make [ reach_tier reach ] [ reach ]
-  | Engine.Sat -> make [ sat_tier sk (lazy (on_encode (); encoder budget)) ] []
+  | Engine.Sat -> make [ sat_tier sk (lazy (encoder budget)) ] []
   | Engine.Auto ->
       let slice nodes = Budget.sub budget ~node_budget:(nodes ()) () in
       let reach_slice =
@@ -346,15 +345,15 @@ type t = {
   mutable summary_reduced_memo : summary option;
 }
 
-let stamp_run stats ~engine ~jobs =
-  Option.iter
-    (fun tel -> Telemetry.set_run tel ~engine:(Engine.to_string engine) ~jobs)
-    stats
-
 let create ?limit ?(jobs = 1) ?stats ?(budget = Budget.unlimited)
     ?(cache = no_cache) sk =
   let c = match stats with Some tel -> Telemetry.counters tel | None -> Counters.null in
   let engine = Engine.current () in
+  (* The report names the engine and jobs of the session it rides from
+     the start, whatever query runs (or none). *)
+  Option.iter
+    (fun tel -> Telemetry.set_run tel ~engine:(Engine.to_string engine) ~jobs)
+    stats;
   let reach = lazy (Reach.create ~stats:c ~budget sk) in
   let oracle = ref None in
   {
@@ -369,9 +368,7 @@ let create ?limit ?(jobs = 1) ?stats ?(budget = Budget.unlimited)
     key = lazy (Program_key.of_execution sk.Skeleton.execution);
     reach;
     oracle;
-    ladder =
-      ladder engine ~c ~budget ~oracle ~reach sk
-        ~on_encode:(fun () -> stamp_run stats ~engine ~jobs);
+    ladder = ladder engine ~c ~budget ~oracle ~reach sk;
     memo = (if engine = Engine.Auto then Some (Hashtbl.create 64) else None);
     pending_full = [];
     pending_por = [];
@@ -394,7 +391,6 @@ let budget t = t.budget
 let telemetry t = t.stats
 let full_pass_stats t = t.full_stats
 let reach t = Lazy.force t.reach
-let set_run t = stamp_run t.stats ~engine:t.engine ~jobs:t.jobs
 let set_oracle t o = t.oracle := Some o
 let has_oracle t = !(t.oracle) <> None
 
@@ -586,7 +582,6 @@ let run_pass t pending ~walk ~split ~walk_task ~record =
   if pending <> [] then begin
     let consumers = List.rev pending in
     let c = t.c and sk = t.sk in
-    set_run t;
     Counters.bump c Counters.Session_passes;
     Counters.time c Counters.T_total @@ fun () ->
     let po_opt =
@@ -852,7 +847,6 @@ let compute_summary_full t =
 let compute_summary_reduced t =
   let n = t.sk.Skeleton.n in
   let c = t.c in
-  set_run t;
   let reach = reach t in
   let parallel = t.jobs > 1 && t.engine = Engine.Packed in
   let before_some = Rel.create n in

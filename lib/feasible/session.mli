@@ -72,7 +72,9 @@ val create :
     [1]) sets the worker-domain count for parallel passes; [cache]
     defaults to {!no_cache}.
 
-    The engine is the domain's {!Engine.current} at this call.
+    The engine is the domain's {!Engine.current} at this call; a [stats]
+    report is stamped here with it and [jobs], whatever query runs
+    later (or none).
 
     [budget] (default {!Budget.unlimited}) bounds every engine this
     session drives — enumeration and POR walks stop at the deadline like

@@ -58,8 +58,7 @@ val check : ?stats:Counters.t -> model:Memmodel.t -> t -> verdict
     [Consistency_sat_hits] per verdict. *)
 
 val consistent : ?stats:Counters.t -> model:Memmodel.t -> t -> witness option
-(** [check] with the refutation reason dropped — the shape the model
-    interface ({!Models.S}) exposes. *)
+(** [check] with the refutation reason dropped. *)
 
 val check_witness :
   model:Memmodel.t -> t -> int array -> (witness, string) result

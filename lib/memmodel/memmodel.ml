@@ -4,16 +4,12 @@ type t = Sc | Tso | Pso
 
 let to_string = function Sc -> "sc" | Tso -> "tso" | Pso -> "pso"
 
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "sc" -> Some Sc
-  | "tso" -> Some Tso
-  | "pso" -> Some Pso
-  | _ -> None
+let all = [ Sc; Tso; Pso ]
+
+(* By construction: a name is accepted iff some model prints as it. *)
+let of_string s = List.find_opt (fun m -> to_string m = s) all
 
 let names = Config.model_names
-
-let all = [ Sc; Tso; Pso ]
 
 let default_of_env () =
   match of_string (Config.model ()) with Some m -> m | None -> Sc

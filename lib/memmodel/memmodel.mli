@@ -37,7 +37,9 @@ val to_string : t -> string
 (** ["sc"], ["tso"], ["pso"] — the vocabulary in {!Config.model_names}. *)
 
 val of_string : string -> t option
-(** Case-insensitive; [None] for anything outside the vocabulary. *)
+(** The model of {!all} that {!to_string} prints as the argument, so it
+    accepts exactly those names; [None] for anything else
+    ([Config.model_of_string] folds case and whitespace first). *)
 
 val names : string list
 (** = {!Config.model_names}, the closed vocabulary in documentation

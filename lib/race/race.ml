@@ -67,11 +67,6 @@ let decide_pair ?limit ~engine ~stats ~budget ~tier1 sk e1 e2 =
       in
       !found
 
-let is_feasible_race ?limit ?(stats = Counters.null)
-    ?(budget = Budget.unlimited) x e1 e2 =
-  let engine = Engine.current () and sk = Skeleton.of_execution x in
-  decide_pair ?limit ~engine ~stats ~budget ~tier1:(tier1 engine sk) sk e1 e2
-
 let race_witness x e1 e2 =
   let sk = Skeleton.without_pair (Skeleton.of_execution x) e1 e2 in
   Reach.race_witness (Reach.create sk) e1 e2
@@ -81,11 +76,7 @@ let compute_feasible session =
   let jobs = Session.jobs session and budget = Session.budget session in
   let stats = Session.telemetry session in
   let c =
-    match stats with
-    | None -> Counters.null
-    | Some tel ->
-        Telemetry.set_run tel ~engine:(Engine.to_string engine) ~jobs;
-        Telemetry.counters tel
+    match stats with None -> Counters.null | Some tel -> Telemetry.counters tel
   in
   Counters.time c Counters.T_total @@ fun () ->
   let candidates = Array.of_list (conflicting_pairs sk.Skeleton.execution) in
@@ -219,10 +210,6 @@ let first_races_session session =
 
 let first_races_session_outcome session =
   mark_outcome session (first_races_session session)
-
-let first_races ?limit ?(jobs = 1) ?stats x =
-  first_races_session
-    (Session.of_execution ?limit ~jobs ?stats ~cache:Session.no_cache x)
 
 let pp_race (x : Execution.t) ppf r =
   let e ppf id = Format.fprintf ppf "%s" x.Execution.events.(id).Event.label in

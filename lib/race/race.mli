@@ -57,29 +57,11 @@ val feasible_races :
     — bit-identical to sequential, counters included, since every pair
     builds its own engines; [?stats] populates a {!Telemetry.t}. *)
 
-val is_feasible_race :
-  ?limit:int -> ?stats:Counters.t -> ?budget:Budget.t ->
-  Execution.t -> int -> int -> bool
-(** Decide a single candidate pair by the ladder of the domain's current
-    engine ({!Session.decide_race}, on the execution's skeleton under the
-    current memory model, the pair's dependence edges dropped): the
-    state engine by default, the SAT backend under [Engine.Sat], and
-    under [Engine.Auto] the triage ladder — the tier-1 race oracle
-    ({!Triage.race_oracle}), then the state engine, the SAT backend and
-    an enumeration-scale search, tiers 2–4 each under their own
-    [Budget.sub] slice, escalating while the caller's budget is alive
-    (counted in the [triage_*] counters).  With [?limit]: the
-    enumeration reference path — at most [limit] schedules, testing
-    pinned-order incomparability — which can only under-report; the
-    differential tests cross-validate the two.  [?budget] expiry
-    degrades the pair to [false] (sound under-report, bumping
-    [timeout_expirations]) — never an exception. *)
-
 val race_witness : Execution.t -> int -> int -> (int array * int array) option
 (** Two feasible schedules sharing a prefix and running the pair in
     opposite orders (with the pair's own dependences dropped) — the
-    interleavings to show in a race report.  [Some _] exactly when
-    {!is_feasible_race}. *)
+    interleavings to show in a race report.  [Some _] exactly when the
+    pair is a feasible race. *)
 
 val feasible_races_session_outcome : Session.t -> race list Budget.outcome
 (** {!feasible_races_session} with degradation made explicit:
@@ -87,20 +69,17 @@ val feasible_races_session_outcome : Session.t -> race list Budget.outcome
     is a sound under-report of the feasible races. *)
 
 val first_races_session : Session.t -> race list
-(** {!first_races} over a shared session: reuses the (possibly cached)
-    {!feasible_races_session} set instead of re-deciding every pair. *)
+(** The {e first} feasible races: those not preceded by another feasible
+    race.  Race [r1] precedes [r2] when both of [r1]'s events happen
+    before both of [r2]'s in the observed execution's happened-before
+    order; a non-first race may be an artifact (the earlier race could
+    have changed the execution before the later pair ever met), so
+    debugging starts here — the refinement Netzer's later work develops.
+    Reuses the session's (possibly cached) {!feasible_races_session} set
+    instead of re-deciding every pair.  The observed order is read along
+    the recorded schedule: @raise Replay.Not_replayable when that
+    schedule does not replay. *)
 
 val first_races_session_outcome : Session.t -> race list Budget.outcome
-
-val first_races :
-  ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Execution.t -> race list
-(** The {e first} feasible races: those not preceded by another feasible
-    race.  Race [r1] precedes [r2] when both of [r1]'s events happen before
-    both of [r2]'s in the observed execution's happened-before order; a
-    non-first race may be an artifact (the earlier race could have changed
-    the execution before the later pair ever met), so debugging starts
-    here — the refinement Netzer's later work develops.  The observed
-    order is read along the recorded schedule: @raise
-    Replay.Not_replayable when that schedule does not replay. *)
 
 val pp_race : Execution.t -> Format.formatter -> race -> unit

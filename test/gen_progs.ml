@@ -40,3 +40,7 @@ let arbitrary_program = QCheck.make ~print:print_program program_gen
 let completed_trace ?(policy = Sched.Round_robin) prog =
   let t = Interp.run ~policy prog in
   match t.Trace.outcome with Trace.Completed -> Some t | _ -> None
+
+(* The first races of an execution over a private, uncached session. *)
+let first_races x =
+  Race.first_races_session (Session.of_execution ~cache:Session.no_cache x)

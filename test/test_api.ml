@@ -126,7 +126,7 @@ let test_answers_match_legacy =
       let ref_full = Relations.compute sk in
       let ref_reduced = Relations.compute_reduced sk in
       let ref_races = Race.feasible_races x in
-      let ref_first = Race.first_races x in
+      let ref_first = Gen_progs.first_races x in
       List.iter
         (fun engine ->
           with_engine engine @@ fun () ->
@@ -371,6 +371,66 @@ let test_control_ops () =
     "shutdown op" (Some "shutdown")
     (str_field stop.Api.response "op")
 
+(* A request limit below 1 is refused like jobs and timeout_ms, instead
+   of enumerating one schedule and reporting a truncated summary. *)
+let test_limit_below_one () =
+  List.iter
+    (fun limit ->
+      expect_error Api.Usage
+        (Printf.sprintf
+           {|{"schema":"eventorder.request/1","program":"proc p { x := 1 }","queries":["relations"],"limit":%d}|}
+           limit))
+    [ 0; -1 ]
+
+(* An exception escaping the answering code is a defect, not an input
+   error: it becomes one [internal] error document, and the same config
+   answers the next request normally. *)
+let test_internal_error () =
+  let line =
+    {|{"schema":"eventorder.request/1","id":3,"program":"proc a { x := 1 }\nproc b { y := x }","queries":["schedules"]}|}
+  in
+  let h =
+    Api.handle_line ~serialize:(fun _ _ -> raise Not_found) test_config line
+  in
+  Alcotest.(check (option string))
+    "internal code" (Some "internal")
+    (str_field h.Api.response "code");
+  Alcotest.(check bool)
+    "id echoed" true
+    (obj_field h.Api.response "id" = Some (Jsonout.Int 3));
+  let next = Api.handle_line test_config line in
+  Alcotest.(check (option string))
+    "next request ok" (Some "ok")
+    (str_field next.Api.response "status")
+
+(* Each vocabulary is declared once, in [Config].  The typed parsers
+   accept a name iff some value of [all] prints as it, so [all] printing
+   as exactly the Config names pins both directions: every Config name
+   parses and round-trips, and nothing else (an alias, a case or blank
+   variant) parses. *)
+let test_vocabularies () =
+  let check what names all of_string to_string =
+    Alcotest.(check (list string))
+      (what ^ ": every value prints as a Config name, in order")
+      names (List.map to_string all);
+    List.iter
+      (fun name ->
+        match of_string name with
+        | Some v ->
+            Alcotest.(check string) (what ^ " round-trips") name (to_string v)
+        | None -> Alcotest.failf "%s %S rejected by of_string" what name)
+      names;
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (what ^ " rejects " ^ name) true
+          (of_string name = None))
+      [ ""; "bogus"; "sc "; " packed"; "SC"; "Packed"; "armv8" ]
+  in
+  check "engine" Config.engine_names Engine.all Engine.of_string
+    Engine.to_string;
+  check "model" Config.model_names Memmodel.all Memmodel.of_string
+    Memmodel.to_string
+
 let test_op_classification () =
   let classify line = Api.request_op_of_line line in
   Alcotest.(check bool)
@@ -403,4 +463,7 @@ let suite =
     Alcotest.test_case "error codes" `Quick test_error_codes;
     Alcotest.test_case "control ops" `Quick test_control_ops;
     Alcotest.test_case "op classification" `Quick test_op_classification;
+    Alcotest.test_case "request limit below 1" `Quick test_limit_below_one;
+    Alcotest.test_case "internal errors" `Quick test_internal_error;
+    Alcotest.test_case "engine and model vocabularies" `Quick test_vocabularies;
   ]

@@ -25,9 +25,9 @@ let test_figure1_exact_orders_posts () =
   in
   let d = Decide.create x in
   Alcotest.(check bool) "post1 MHB post2 (via the dependence)" true
-    (Decide.mhb d post1 post2);
+    (Decide.holds d Relations.MHB post1 post2);
   Alcotest.(check bool) "post2 CHB post1 is false" false
-    (Decide.chb d post2 post1)
+    (Decide.holds d Relations.CHB post2 post1)
 
 let test_figure1_egp_misses_it () =
   let tr = figure1_trace () in
@@ -44,7 +44,7 @@ let test_figure1_egp_misses_it () =
      Post1 -> Wait ordering the exact engine proves is missed too. *)
   let w = wait_event x in
   let d = Decide.create x in
-  Alcotest.(check bool) "exact: post1 MHB wait" true (Decide.mhb d post1 w);
+  Alcotest.(check bool) "exact: post1 MHB wait" true (Decide.holds d Relations.MHB post1 w);
   Alcotest.(check bool) "EGP misses post1 -> wait" false
     (Egp.guaranteed_before egp post1 w)
 
@@ -135,7 +135,7 @@ let test_egp_claims_sound_on_figure1 () =
     (fun a b ->
       Alcotest.(check bool)
         (Printf.sprintf "claim %d->%d confirmed" a b)
-        true (Decide.mhb d a b))
+        true (Decide.holds d Relations.MHB a b))
     (Egp.guaranteed_rel egp)
 
 (* Soundness on random loop-free Post/Wait programs: everything the task
@@ -173,7 +173,7 @@ let prop_egp_sound =
             let d = Decide.create x in
             let ok = ref true in
             Rel.iter
-              (fun a b -> if not (Decide.mhb d a b) then ok := false)
+              (fun a b -> if not (Decide.holds d Relations.MHB a b) then ok := false)
               (Egp.guaranteed_rel egp);
             !ok
           end)

@@ -115,7 +115,7 @@ let prop_decide_sat_matches_packed =
       let n = sk.Skeleton.n in
       let decisions engine =
         with_engine engine @@ fun () ->
-        let d = Decide.of_skeleton sk in
+        let d = Decide.of_session (Session.create sk) in
         List.concat_map
           (fun rel ->
             List.concat

@@ -60,8 +60,11 @@ let test_feasible_race_hidden_from_vclock () =
 
 let test_is_feasible_race_single_pair () =
   let x = execution_of "proc a { x := 1 }\nproc b { x := 2 }" in
-  Alcotest.(check bool) "pair is racy" true (Race.is_feasible_race x 0 1);
-  Alcotest.(check bool) "symmetric" true (Race.is_feasible_race x 1 0)
+  Alcotest.(check (list (pair int int)))
+    "pair is racy" [ (0, 1) ]
+    (List.map (fun r -> (r.Race.e1, r.Race.e2)) (Race.feasible_races x));
+  Alcotest.(check bool) "witnessed" true (Race.race_witness x 0 1 <> None);
+  Alcotest.(check bool) "symmetric" true (Race.race_witness x 1 0 <> None)
 
 let test_pp_race () =
   let x = execution_of "proc a { x := 1 }\nproc b { x := 2 }" in
@@ -114,7 +117,7 @@ let test_first_races () =
   in
   let x = execution_of src in
   let feasible = Race.feasible_races x in
-  let first = Race.first_races x in
+  let first = Gen_progs.first_races x in
   Alcotest.(check bool) "several feasible races" true (List.length feasible > 1);
   Alcotest.(check bool) "first races are fewer" true
     (List.length first < List.length feasible);
@@ -128,7 +131,7 @@ let test_first_races_independent () =
     execution_of
       "proc a { x := 1 }\nproc b { x := 2 }\nproc c { y := 1 }\nproc d { y := 2 }"
   in
-  Alcotest.(check int) "both first" 2 (List.length (Race.first_races x))
+  Alcotest.(check int) "both first" 2 (List.length (Gen_progs.first_races x))
 
 let test_race_witness () =
   let x = execution_of "proc a { x := 1 }\nproc b { x := 2 }" in
@@ -161,14 +164,15 @@ let prop_witness_iff_race =
           if Trace.n_events tr > 7 then true
           else
             let x = Trace.to_execution tr in
+            let feasible = Race.feasible_races x in
             List.for_all
               (fun r ->
                 match Race.race_witness x r.Race.e1 r.Race.e2 with
                 | Some (s1, s2) ->
-                    Race.is_feasible_race x r.Race.e1 r.Race.e2
+                    List.mem r feasible
                     && Array.length s1 = Execution.n_events x
                     && Array.length s2 = Execution.n_events x
-                | None -> not (Race.is_feasible_race x r.Race.e1 r.Race.e2))
+                | None -> not (List.mem r feasible))
               (Race.conflicting_pairs x))
 
 let prop_first_subset_feasible =
@@ -181,7 +185,7 @@ let prop_first_subset_feasible =
           else
             let x = Trace.to_execution tr in
             let feasible = Race.feasible_races x in
-            List.for_all (fun r -> List.mem r feasible) (Race.first_races x))
+            List.for_all (fun r -> List.mem r feasible) (Gen_progs.first_races x))
 
 let prop_state_engine_matches_enumeration =
   QCheck.Test.make
@@ -197,14 +201,9 @@ let prop_state_engine_matches_enumeration =
           if Trace.n_events tr > 7 then true
           else
             let x = Trace.to_execution tr in
-            List.for_all
-              (fun r ->
-                Race.is_feasible_race x r.Race.e1 r.Race.e2
-                (* ~limit selects the enumeration reference path; the cap
-                   is far above any 7-event schedule count *)
-                = Race.is_feasible_race ~limit:10_000_000 x r.Race.e1
-                    r.Race.e2)
-              (Race.conflicting_pairs x))
+            (* ~limit selects the enumeration reference path; the cap is
+               far above any 7-event schedule count *)
+            Race.feasible_races x = Race.feasible_races ~limit:10_000_000 x)
 
 let suite =
   [

@@ -55,7 +55,7 @@ let test_session_matches_legacy =
       let ref_full = Relations.compute sk in
       let ref_reduced = Relations.compute_reduced sk in
       let ref_races = Race.feasible_races x in
-      let ref_first = Race.first_races x in
+      let ref_first = Gen_progs.first_races x in
       List.iter
         (fun engine ->
           with_engine engine @@ fun () ->

@@ -119,7 +119,7 @@ let prop_claims_sound =
             let t = Static_order.analyze prog in
             let d = Decide.create (Trace.to_execution trace) in
             List.for_all
-              (fun (ea, eb) -> Decide.mhb d ea eb)
+              (fun (ea, eb) -> Decide.holds d Relations.MHB ea eb)
               (Static_order.claims_on_trace t trace)
           end)
 

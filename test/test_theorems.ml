@@ -35,10 +35,10 @@ let test_section_5_3 () =
         { x with Execution.dependences = Rel.create (Execution.n_events x) }
       in
       let d1 = Decide.create x and d2 = Decide.create x_no_d in
-      Alcotest.(check bool) "MHB same without D" (Decide.mhb d1 a b)
-        (Decide.mhb d2 a b);
-      Alcotest.(check bool) "CHB same without D" (Decide.chb d1 b a)
-        (Decide.chb d2 b a))
+      Alcotest.(check bool) "MHB same without D" (Decide.holds d1 Relations.MHB a b)
+        (Decide.holds d2 Relations.MHB a b);
+      Alcotest.(check bool) "CHB same without D" (Decide.holds d1 Relations.CHB b a)
+        (Decide.holds d2 Relations.CHB b a))
     [ Sat_gen.tiny_sat_3cnf (); Sat_gen.tiny_unsat_3cnf () ]
 
 (* The MOW/CCW variants of the theorems (Theorem 1's "similar reductions"):
@@ -52,8 +52,8 @@ let test_mow_ccw_variants () =
       let a, b = Reduction_sem.events_ab red tr in
       let d = Decide.create (Trace.to_execution tr) in
       Alcotest.(check bool) "a MOW b iff unsat" (not satisfiable)
-        (Decide.mow d a b);
-      Alcotest.(check bool) "a CCW b iff sat" satisfiable (Decide.ccw d a b))
+        (Decide.holds d Relations.MOW a b);
+      Alcotest.(check bool) "a CCW b iff sat" satisfiable (Decide.holds d Relations.CCW a b))
     [ (Sat_gen.tiny_sat_3cnf (), true); (Sat_gen.tiny_unsat_3cnf (), false) ]
 
 let random_tiny_3cnf =

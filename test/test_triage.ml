@@ -123,12 +123,12 @@ let prop_auto_matches_sat_relations =
 let exact_mhb x =
   with_engine Engine.Packed (fun () ->
       let d = Decide.of_session (fresh_session x) in
-      fun a b -> Decide.mhb d a b)
+      fun a b -> Decide.holds d Relations.MHB a b)
 
 let exact_chb x =
   with_engine Engine.Packed (fun () ->
       let d = Decide.of_session (fresh_session x) in
-      fun a b -> Decide.chb d a b)
+      fun a b -> Decide.holds d Relations.CHB a b)
 
 let check_decider ~exact decider n =
   let ok = ref true in
@@ -457,12 +457,9 @@ let test_starved_tier_escalates_not_degrades () =
       let reference = race_set Engine.Packed ~jobs:1 x in
       Alcotest.(check int) "fixture has a hidden race" 1 (List.length reference);
       with_env "EO_TRIAGE_REACH_NODES" "1" (fun () ->
-          let c = Counters.create () in
-          let races =
-            List.filter
-              (fun r -> Race.is_feasible_race ~stats:c x r.Race.e1 r.Race.e2)
-              (Race.conflicting_pairs x)
-          in
+          let tel = Telemetry.create () in
+          let races = Race.feasible_races ~stats:tel x in
+          let c = Telemetry.counters tel in
           Alcotest.(check bool) "answers survive the starved reach tier" true
             (List.map (fun r -> (r.Race.e1, r.Race.e2)) races
             = List.map (fun r -> (r.Race.e1, r.Race.e2)) reference);

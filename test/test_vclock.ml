@@ -91,7 +91,7 @@ let test_unsafe_as_mhb () =
   Alcotest.(check bool) "vclock claims V1 -> P" true (Vclock.hb vc paired_v p);
   let d = Decide.create x in
   Alcotest.(check bool) "but V1 MHB P is false (V2 could serve)" false
-    (Decide.mhb d paired_v p)
+    (Decide.holds d Relations.MHB paired_v p)
 
 let prop_lamport_consistent =
   QCheck.Test.make ~name:"lamport clocks consistent with vclock hb" ~count:150

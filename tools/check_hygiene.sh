@@ -6,12 +6,19 @@
 #   2. stray session-cache residue (*.eocache) left in the source tree,
 #   3. an .ml file under lib/ without a matching .mli — every library
 #      module must state its interface,
-#   4. an engine name known to the Config parser but missing from the
-#      CLI --engine help or the docs (or vice versa) — the engine
-#      vocabulary must read the same everywhere it is listed,
+#   4. an engine or model name known to the Config parser but missing
+#      from the CLI help or the docs, or a name accepted that Config
+#      rejects — the vocabulary must read the same everywhere it is
+#      listed (that the typed values print as exactly the Config names
+#      is the alcotest case "engine and model vocabularies"),
 #   5. the timeout vocabulary drifting apart: EO_TIMEOUT_MS, --timeout,
 #      the "status": "timeout" JSON field and exit code 3 must each be
-#      named in the config parser, the CLI and the docs.
+#      named in the config parser, the CLI or the API that owns them, and
+#      the docs,
+#   6. the CLI rendering a document or picking an engine on its own:
+#      bin/ must spell no eventorder.*/N schema and read or set no engine
+#      or model switch — lib/api resolves settings and renders the
+#      documents for it.
 set -e
 
 root=$(git rev-parse --show-toplevel 2>/dev/null) || {
@@ -52,69 +59,60 @@ if [ -n "$missing" ]; then
 fi
 echo "hygiene: every lib module has an interface"
 
-# Engine-name consistency: Config.engine_names is the source of truth;
-# every name must be parsed by Engine.of_string, selectable from the
-# CLI --engine enum (and named in its help text), and documented in
-# docs/ANALYSES.md — and the CLI must not offer a name Config rejects.
-engines=$(sed -n 's/^let engine_names = \[\(.*\)\]/\1/p' lib/obs/config.ml \
-  | tr -d '";')
-if [ -z "$engines" ]; then
-  echo "hygiene: could not read engine_names from lib/obs/config.ml" >&2
+# Engine- and model-name consistency: Config.engine_names and
+# Config.model_names are the source of truth.  Engine.of_string and
+# Memmodel.of_string accept a name iff a value of [all] prints as it,
+# and the alcotest case "engine and model vocabularies" checks that
+# [all] prints as exactly the Config names; the CLI flags and request
+# fields are validated by them in lib/api.  Here every name must also be
+# named in the CLI help text and documented in docs/ANALYSES.md, and no
+# parser arm or CLI enum pair may accept a name Config rejects.
+names() { # names <engine|model>
+  sed -n "s/^let $1_names = \\[\\(.*\\)\\]/\\1/p" lib/obs/config.ml | tr -d '";'
+}
+engines=$(names engine)
+models=$(names model)
+if [ -z "$engines" ] || [ -z "$models" ]; then
+  echo "hygiene: could not read engine_names/model_names from lib/obs/config.ml" >&2
   exit 1
 fi
-for e in $engines; do
-  grep -q "\"$e\" -> Some" lib/feasible/engine.ml || {
-    echo "hygiene: engine '$e' missing from Engine.of_string" >&2; exit 1; }
-  grep -q "(\"$e\", Engine\." bin/eventorder.ml || {
-    echo "hygiene: engine '$e' missing from the CLI --engine enum" >&2; exit 1; }
+for e in $engines $models; do
   grep -q "'$e'" bin/eventorder.ml || {
-    echo "hygiene: engine '$e' missing from the CLI --engine help text" >&2
+    echo "hygiene: '$e' missing from the CLI --engine/--model help text" >&2
     exit 1; }
   grep -q "\`$e\`" docs/ANALYSES.md || {
-    echo "hygiene: engine '$e' not documented in docs/ANALYSES.md" >&2
+    echo "hygiene: '$e' not documented in docs/ANALYSES.md" >&2
     exit 1; }
 done
-for e in $(sed -n 's/.*("\([a-z]*\)", Engine\..*/\1/p' bin/eventorder.ml); do
-  case " $engines " in
-    *" $e "*) ;;
-    *) echo "hygiene: CLI offers engine '$e' that Config rejects" >&2
-       exit 1 ;;
-  esac
+for f in lib/feasible/engine.ml lib/memmodel/memmodel.ml; do
+  grep -q '^let of_string s = List.find_opt (fun [a-z]* -> to_string [a-z]* = s) all$' "$f" || {
+    echo "hygiene: $f: of_string must accept exactly what to_string prints over all" >&2
+    exit 1; }
 done
-echo "hygiene: engine names agree across Config, CLI and docs"
+only_config() { # only_config <engine|model> <Config names> <accepted name>...
+  what=$1; known=$2; shift 2
+  for n in "$@"; do
+    case " $known " in
+      *" $n "*) ;;
+      *) echo "hygiene: $what '$n' is accepted but Config rejects it" >&2
+         exit 1 ;;
+    esac
+  done
+}
+arms() { grep -oh '"[^"]*" -> Some' "$@" | sed 's/^"\([^"]*\)".*/\1/' || true; }
+pairs() { # pairs <Module>: ("name", Module.X) enum entries in the CLI and API
+  grep -oh "(\"[^\"]*\", $1\." bin/*.ml lib/api/*.ml \
+    | sed 's/^("\([^"]*\)".*/\1/' || true
+}
+only_config engine "$engines" $(arms lib/feasible/engine.ml) $(pairs Engine)
+only_config model "$models" $(arms lib/memmodel/memmodel.ml) $(pairs Memmodel)
+echo "hygiene: engine and model names agree across Config, parsers, CLI help and docs"
 
-# Memory-model-name consistency: Config.model_names is the source of
-# truth; every name must be parsed by Memmodel.of_string, named in the
-# CLI --model help text, and documented in docs/ANALYSES.md — and the
-# typed parser must not accept a name Config rejects.
-models=$(sed -n 's/^let model_names = \[\(.*\)\]/\1/p' lib/obs/config.ml \
-  | tr -d '";')
-if [ -z "$models" ]; then
-  echo "hygiene: could not read model_names from lib/obs/config.ml" >&2
-  exit 1
-fi
-for m in $models; do
-  grep -q "\"$m\" -> Some" lib/memmodel/memmodel.ml || {
-    echo "hygiene: model '$m' missing from Memmodel.of_string" >&2; exit 1; }
-  grep -q "'$m'" bin/eventorder.ml || {
-    echo "hygiene: model '$m' missing from the CLI --model help text" >&2
-    exit 1; }
-  grep -q "\`$m\`" docs/ANALYSES.md || {
-    echo "hygiene: model '$m' not documented in docs/ANALYSES.md" >&2
-    exit 1; }
-done
-for m in $(sed -n 's/^  | "\([a-z]*\)" -> Some .*/\1/p' lib/memmodel/memmodel.ml); do
-  case " $models " in
-    *" $m "*) ;;
-    *) echo "hygiene: Memmodel.of_string accepts model '$m' that Config rejects" >&2
-       exit 1 ;;
-  esac
-done
-for knob in EO_MODEL; do
+for knob in EO_ENGINE EO_MODEL; do
   grep -q "$knob" lib/obs/config.ml || {
     echo "hygiene: $knob parser missing from lib/obs/config.ml" >&2; exit 1; }
-  grep -q "$knob" bin/eventorder.ml || {
-    echo "hygiene: $knob fallback missing from bin/eventorder.ml" >&2; exit 1; }
+  grep -q "$knob" lib/api/api.ml || {
+    echo "hygiene: $knob fallback missing from lib/api/api.ml" >&2; exit 1; }
   grep -q "$knob" docs/ANALYSES.md || {
     echo "hygiene: $knob documentation missing from docs/ANALYSES.md" >&2
     exit 1; }
@@ -133,7 +131,7 @@ for name in model_queries_sc model_queries_tso model_queries_pso \
     echo "hygiene: $name protocol documentation missing from docs/PROTOCOL.md" >&2
     exit 1; }
 done
-echo "hygiene: model names agree across Config, Memmodel, CLI and docs"
+echo "hygiene: model knobs and counters agree across config, API and docs"
 
 # Timeout-vocabulary consistency: the deadline surface is one contract
 # spoken in four places (env var, flag, JSON status, exit code); a
@@ -143,14 +141,14 @@ require() { # require <pattern> <file> <what>
     echo "hygiene: $3 missing from $2" >&2; exit 1; }
 }
 require 'EO_TIMEOUT_MS' lib/obs/config.ml "EO_TIMEOUT_MS parser"
-require 'EO_TIMEOUT_MS' bin/eventorder.ml "EO_TIMEOUT_MS fallback"
+require 'EO_TIMEOUT_MS' lib/api/api.ml "EO_TIMEOUT_MS fallback"
 require 'EO_TIMEOUT_MS' docs/ANALYSES.md "EO_TIMEOUT_MS documentation"
 require 'EO_TIMEOUT_MS' README.md "EO_TIMEOUT_MS documentation"
 require '"timeout"' bin/eventorder.ml "--timeout flag"
 require '\-\-timeout' docs/ANALYSES.md "--timeout documentation"
 require '\-\-timeout' README.md "--timeout documentation"
-require '"status"' bin/eventorder.ml 'JSON "status" field'
-require 'exit 3' bin/eventorder.ml "exit code 3 on expiry"
+require '"status"' lib/api/api.ml 'JSON "status" field'
+require 'exit 3' lib/api/api.ml "exit code 3 on expiry"
 require 'code \*\*3\*\*' docs/ANALYSES.md "exit-code-3 documentation"
 require '\*\*3\*\*' README.md "exit-code-3 documentation"
 require 'Timeout_expirations' lib/obs/counters.ml "timeout counters"
@@ -172,7 +170,7 @@ for name in triage_tier_hits_approx triage_tier_hits_reach \
   require "$name" lib/obs/counters.ml "$name counter name"
   require "$name" docs/PROTOCOL.md "$name protocol documentation"
 done
-require 'races_stream' bin/eventorder.ml "streaming races schema emitter"
+require 'races_stream' lib/api/api.ml "streaming races schema emitter"
 echo "hygiene: triage vocabulary agrees across config, counters and docs"
 
 # Schema inventory: every eventorder.*/N document the code can emit
@@ -200,3 +198,13 @@ for c in $codes; do
     exit 1; }
 done
 echo "hygiene: every emitted schema and error code is documented in docs/PROTOCOL.md"
+
+# One answer path: every eventorder.*/N document the CLI prints is
+# rendered by lib/api, and lib/api's resolver is what picks the engine
+# and model, so bin/ spells no schema and never reads or sets the
+# engine/model switches.
+if grep -n '"eventorder\.\|Engine\.current\|Memmodel\.current\|Engine\.set\|Memmodel\.set' bin/*.ml >&2; then
+  echo "hygiene: bin/ renders a schema or reads an engine/model switch itself" >&2
+  exit 1
+fi
+echo "hygiene: the CLI renders documents and resolves settings through lib/api"
