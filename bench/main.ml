@@ -35,7 +35,7 @@ let e1_table1 () =
   let tr = Workloads.trace_of (Workloads.pipeline_program ~stages:3 ~free:1) in
   let x = Trace.to_execution tr in
   let sk = Skeleton.of_execution x in
-  let s = Relations.compute sk in
+  let s = Relations.compute_enumerated sk in
   Format.printf "%a@." Relations.pp_summary (s, x.Execution.events);
   (* Growth of |F(P)| and the cost of exhausting it. *)
   let rows =
@@ -43,7 +43,7 @@ let e1_table1 () =
         let sk =
           Workloads.skeleton_of (Workloads.pipeline_program ~stages:3 ~free)
         in
-        let s = Relations.compute sk in
+        let s = Relations.compute_enumerated sk in
         (sk.Skeleton.n, s.Relations.feasible_count))
   in
   Harness.table ~title:"exact Table-1 computation vs trace size"
@@ -728,11 +728,11 @@ let e19_exact_engine () =
            to cost nothing measurable) so every row records *where* its
            time went, not just how much there was. *)
         let s1, t_seq, _ =
-          Harness.time_with_stats (fun tel -> Relations.compute ~stats:tel sk)
+          Harness.time_with_stats (fun tel -> Relations.compute_enumerated ~stats:tel sk)
         in
         let sj, t_par, tel_compute =
           Harness.time_with_stats (fun tel ->
-              Relations.compute ~jobs ~stats:tel sk)
+              Relations.compute_enumerated ~jobs ~stats:tel sk)
         in
         let r1, t_rseq, _ =
           Harness.time_with_stats (fun tel ->
@@ -753,13 +753,22 @@ let e19_exact_engine () =
           rj.Relations.feasible_count;
         expect (name "reduced classes") r1.Relations.distinct_classes
           rj.Relations.distinct_classes;
+        (* [relations] switches between the two summaries (class-level
+           by default, full enumeration under a limit or the naive
+           engine), so they must never diverge. *)
+        expect (name "full vs class-level count") s1.Relations.feasible_count
+          r1.Relations.feasible_count;
+        expect (name "full vs class-level classes")
+          s1.Relations.distinct_classes r1.Relations.distinct_classes;
         List.iter
           (fun rel ->
             if
               not
                 (Rel.equal (Relations.to_rel s1 rel) (Relations.to_rel sj rel)
                 && Rel.equal (Relations.to_rel r1 rel)
-                     (Relations.to_rel rj rel))
+                     (Relations.to_rel rj rel)
+                && Rel.equal (Relations.to_rel s1 rel)
+                     (Relations.to_rel r1 rel))
             then begin
               incr exact_mismatches;
               Format.printf "MISMATCH in %s relation matrices@."
@@ -1215,7 +1224,7 @@ let e16_scorecard () =
 
   (* Engine agreement on a reference workload. *)
   let sk = Workloads.skeleton_of (Workloads.pipeline_program ~stages:3 ~free:2) in
-  let full = Relations.compute sk in
+  let full = Relations.compute_enumerated sk in
   let reduced = Relations.compute_reduced sk in
   check "compute_reduced = compute (reference workload)" true
     (List.for_all

@@ -217,6 +217,15 @@ let load_trace ?(json = false) path policy =
       note "note: fuel exhausted; analysing the recorded prefix@.");
   trace
 
+(* A formula that does not parse is a typed parse error, like a
+   malformed trace. *)
+let load_dimacs ?(json = false) path =
+  try Dimacs.parse_file path with
+  | Failure message ->
+      die_error ~locate:true ~code:Api.Parse ~json "%s: malformed DIMACS: %s"
+        path message
+  | Sys_error message -> die_error ~json "%s" message
+
 let guard trace max_events =
   Api.check_size ~who:"the configured" ~max_events (Trace.n_events trace)
 
@@ -227,16 +236,17 @@ let guard trace max_events =
 let analyze_cmd =
   let reduced_arg =
     let doc =
-      "Use the class-level engine (partial-order reduction + state \
-       reachability) instead of raw schedule enumeration.  Same results, \
-       exponentially faster on traces with independent events."
+      "Use the class-level engine (partial-order reduction + one state \
+       reachability pass) even where the matrices would otherwise come \
+       from raw schedule enumeration: under --limit (which it ignores; \
+       its class walk is exact) and under --engine naive.  Same results."
     in
     Arg.(value & flag & info [ "reduced" ] ~doc)
   in
   let all_arg =
     let doc =
       "Also report the feasible and first data races, decided from the \
-       same analysis session (one enumeration, one cache entry — cheaper \
+       same analysis session (one summary, one cache entry each — cheaper \
        than running 'analyze' and 'races' separately)."
     in
     Arg.(value & flag & info [ "all" ] ~doc)
@@ -342,8 +352,9 @@ let batch_cmd =
   let queries_arg =
     let doc =
       "Queries to answer, in order.  Whole-program: 'relations' (the six \
-       matrices by full enumeration), 'reduced' (the same by the \
-       class-level engine), 'races' (feasible races), 'first' (first \
+       matrices: by the class-level engine, or by full enumeration under \
+       --limit or --engine naive), 'reduced' (the same by the class-level \
+       engine, whatever the limit), 'races' (feasible races), 'first' (first \
        races), 'schedules' (the feasible-schedule count).  Per-pair: \
        REL:A:B with REL one of mhb, chb, mcw, ccw, mow, cow and A, B \
        event labels (e.g. mhb:w1:r2)."
@@ -417,7 +428,7 @@ let reduce_cmd =
   let run style decide file stats json =
     cli ~json @@ fun () ->
     let s = settings ~jobs:1 () in
-    emit ~json (Api.reduce s ~stats ~style ~decide (Dimacs.parse_file file))
+    emit ~json (Api.reduce s ~stats ~style ~decide (load_dimacs ~json file))
   in
   let doc = "build the Theorem 1-4 reduction program from a DIMACS 3-CNF" in
   Cmd.v
@@ -710,7 +721,7 @@ let dot_cmd =
         match Api.relation_of_string name with
         | Some relation ->
             guard trace max_events;
-            let s = Relations.compute (Skeleton.of_execution x) in
+            let s = Relations.of_session (Session.of_execution x) in
             Dot.relation ppf (x, Relations.to_rel s relation, name)
         | None -> Api.errorf Api.Usage "unknown --kind %s" name)
   in
@@ -787,7 +798,7 @@ let theorems_cmd =
       match formula_spec with
       | "tiny-sat" -> Sat_gen.tiny_sat_3cnf ()
       | "tiny-unsat" -> Sat_gen.tiny_unsat_3cnf ()
-      | path -> Dimacs.parse_file path
+      | path -> load_dimacs path
     in
     let all = Theorems.check_all formula in
     List.iter (fun c -> Format.printf "%a@." Theorems.pp_check c) all;

@@ -38,7 +38,7 @@ let () =
 
   (* The set F(P) of feasible program executions, exhaustively. *)
   let skeleton = Skeleton.of_execution execution in
-  let summary = Relations.compute skeleton in
+  let summary = Relations.compute_enumerated skeleton in
   Format.printf "=== Table 1 relations over F(P) ===@.%a@."
     Relations.pp_summary (summary, execution.Execution.events);
 

@@ -172,8 +172,11 @@ val resolve_pair :
     {!Error} [Usage].  Returns [(a_name, b_name, a_id, b_id)]. *)
 
 type query =
-  | Relations  (** the six matrices by full enumeration *)
-  | Reduced  (** the same by the class-level engine *)
+  | Relations
+      (** the six matrices ({!Relations.of_session}: by the class-level
+          engine, or by full enumeration under a limit or the naive
+          engine) *)
+  | Reduced  (** the same by the class-level engine, whatever the limit *)
   | Races  (** feasible races *)
   | First  (** first races *)
   | Schedules  (** the feasible-schedule count *)
@@ -214,7 +217,7 @@ type result = {
 
 val answers : Session.t -> Trace.t -> Execution.t -> string list -> result list
 (** Answers the queries in order against one shared session (one
-    enumeration pass, one reachability memo, one cache entry set).
+    summary, one reachability memo, one cache entry set).
     Raises {!Error} [Usage] on an unparsable query, and {!Error} [Parse]
     on a [first] query whose recorded schedule does not replay. *)
 
@@ -238,10 +241,10 @@ type doc = {
 
 val analyze :
   settings -> stats:bool -> reduced:bool -> all:bool -> Trace.t -> doc
-(** [eventorder.analyze/1]: the six Table 1 matrices (by full
-    enumeration, or by the class-level engine under [reduced], which
-    ignores the limit), the observed width, and with [all] the feasible
-    and first races of the same session. *)
+(** [eventorder.analyze/1]: the six Table 1 matrices (the [relations]
+    answer, or under [reduced] the class-level engine, which ignores the
+    limit), the observed width, and with [all] the feasible and first
+    races of the same session. *)
 
 val schedules : settings -> stats:bool -> Trace.t -> doc
 (** [eventorder.schedules/1]: feasible-schedule and reachable-state
@@ -318,5 +321,5 @@ val handle_line :
     [eventorder.stats/1] response.  [?serialize], keyed by the program's
     canonical hash, lets the server single-flight concurrent requests
     for the same program: the expensive answering runs inside the
-    callback, so two clients racing on a cold program enumerate it once
+    callback, so two clients racing on a cold program compute it once
     and the loser is served from the cache the winner filled. *)

@@ -1,10 +1,10 @@
 (** Per-pair decision procedures for the ordering relations.
 
-    {!Relations.of_session} exhausts all feasible schedules to fill every
-    matrix at once; when only a single pair matters (as in the Theorem
-    1–4 experiments, which ask about one [(a, b)]), the happened-before
-    relations are decided by memoized state-space reachability instead —
-    usually exponentially fewer states than schedules.  MHB and CHB go
+    {!Relations.of_session} fills every matrix at once (one pass over
+    the reachable states plus one walk over the commutation classes);
+    when only a single pair matters (as in the Theorem 1–4 experiments,
+    which ask about one [(a, b)]), each relation is decided on its own
+    by the session engine's tier ladder instead.  MHB and CHB go
     through {!Session.must_before}/{!Session.exists_before}, CCW through
     {!Session.exists_race} (some reachable context runs the pair
     back-to-back in both orders), MOW is [feasible && not CCW], and MCW

@@ -36,12 +36,7 @@ let of_summary (s : Session.summary) =
   }
 
 let of_session session = of_summary (Session.summary session)
-
-let of_session_reduced session =
-  (* The reduced path's happened-before fill is per-pair under the
-     session's engine routing; give the auto ladder its tier-1 oracle. *)
-  Triage.attach session;
-  of_summary (Session.summary_reduced session)
+let of_session_reduced session = of_summary (Session.summary_reduced session)
 
 (* Outcome-typed constructors: [Bound_hit] exactly when the underlying
    summary was truncated (by [?limit] or by the session budget), i.e.
@@ -51,17 +46,19 @@ let of_session_outcome session =
   Budget.map of_summary (Session.summary_outcome session)
 
 let of_session_reduced_outcome session =
-  Triage.attach session;
   Budget.map of_summary (Session.summary_reduced_outcome session)
 
-(* The historical one-shot entry points: a private, cache-disabled
-   session per call, so their counter reports stay exactly reproducible
-   (no warm LRU can zero out a later run's search work). *)
-let compute ?limit ?(jobs = 1) ?stats sk =
-  of_session (Session.create ?limit ~jobs ?stats ~cache:Session.no_cache sk)
+(* The one-shot entry points: a private, cache-disabled session per
+   call, so their counter reports stay exactly reproducible (no warm LRU
+   can zero out a later run's search work). *)
+let one_shot ?limit ~jobs ?stats sk =
+  Session.create ?limit ~jobs ?stats ~cache:Session.no_cache sk
 
 let compute_reduced ?limit ?(jobs = 1) ?stats sk =
-  of_session_reduced (Session.create ?limit ~jobs ?stats ~cache:Session.no_cache sk)
+  of_session_reduced (one_shot ?limit ~jobs ?stats sk)
+
+let compute_enumerated ?limit ?(jobs = 1) ?stats sk =
+  of_summary (Session.summary_enumerated (one_shot ?limit ~jobs ?stats sk))
 
 let holds t relation a b =
   if a = b then false

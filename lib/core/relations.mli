@@ -19,8 +19,16 @@
     each schedule class, where incomparability means the class admits
     timings in which the two events overlap (see {!Pinned} and DESIGN.md).
 
-    Everything here is computed by exhausting [F(P)] — the paper proves
-    this cost unavoidable (must-have: co-NP-hard; could-have: NP-hard). *)
+    The paper proves exact answers co-NP-hard (must-have) and NP-hard
+    (could-have); the blow-up lives in the reachable state space, and
+    that is what the default path pays.  Every matrix derives from three
+    existential summaries, and the class-level summary computes them
+    without walking [F(P)]: the happened-before bits and the count in
+    one pass over the reachable states, the concurrent/ordered bits over
+    one representative schedule per commutation class.  Exhausting
+    [F(P)] is left to {!compute_enumerated}, the reference every other
+    path is tested against, and to the two settings that need it: a
+    [limit], and the naive engine. *)
 
 type relation = MHB | CHB | MCW | CCW | MOW | COW
 
@@ -47,13 +55,14 @@ val of_summary : Session.summary -> t
     semantics) — the bridge every entry point below goes through. *)
 
 val of_session : Session.t -> t
-(** The full-enumeration summary of a shared {!Session} ([Session.summary]):
-    one registered fold over the session's single pass, served from the
-    session's cache when warm.  Use this (rather than {!compute}) when
-    other analyses share the session. *)
+(** What the [relations] query answers on a shared {!Session}
+    ([Session.summary]): the class-level summary, or — under a [limit]
+    or the naive engine — the full enumeration.  Served from the
+    session's cache when warm. *)
 
 val of_session_reduced : Session.t -> t
-(** Class-level summary of a shared session ([Session.summary_reduced]). *)
+(** Class-level summary of a shared session ([Session.summary_reduced]),
+    whatever its limit and engine. *)
 
 val of_session_outcome : Session.t -> t Budget.outcome
 (** {!of_session} with truncation made explicit: [Bound_hit] when a
@@ -63,11 +72,14 @@ val of_session_outcome : Session.t -> t Budget.outcome
 
 val of_session_reduced_outcome : Session.t -> t Budget.outcome
 
-val compute : ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Skeleton.t -> t
-(** Enumerates every feasible schedule (up to [limit], default unlimited)
-    and accumulates the three existential summaries.  With a [limit] the
-    result is a sound under-approximation of the could-have relations and
-    an over-approximation of the must-have ones ([truncated] tells you).
+val compute_enumerated :
+  ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Skeleton.t -> t
+(** The reference: enumerates every feasible schedule (up to [limit],
+    default unlimited) on a private, cache-disabled session and
+    accumulates the three existential summaries
+    ([Session.summary_enumerated]).  With a [limit] the result is a
+    sound under-approximation of the could-have relations and an
+    over-approximation of the must-have ones ([truncated] tells you).
 
     [jobs] (default [1]) enables the deterministic multicore fan-out of
     {!Parallel}: the enumeration splits at a shallow prefix depth into
@@ -86,25 +98,26 @@ val compute : ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Skeleton.t -> t
 
 val compute_reduced :
   ?limit:int -> ?jobs:int -> ?stats:Telemetry.t -> Skeleton.t -> t
-(** The same summary computed the smart way: happened-before bits by
-    memoized state reachability ({!Reach.exists_before}, one query per
-    ordered pair), comparability bits by sleep-set partial-order reduction
-    ({!Por} — one representative per commutation class instead of every
-    schedule), and [feasible_count] by the counting DP (saturating at
-    [Reach.count_saturation]).  Equal to {!compute} on every input
-    (property-tested); exponentially faster on traces with many independent
-    events — 68 million schedules collapse to a few thousand
-    representatives on the Theorem 1 programs.  [jobs] (default [1])
-    parallelizes both halves deterministically: the happened-before
-    queries split by matrix row (one memoizing engine per worker) and the
-    POR walk splits into sleep-set subtree tasks.
+(** The same summary at state-space cost, on a private, cache-disabled
+    session, under every engine: the happened-before bits and
+    [feasible_count] (saturating at [Reach.count_saturation]) from one
+    pass over the reachable states ({!Reach.count_and_before}),
+    comparability bits by sleep-set partial-order reduction ({!Por} —
+    one representative per commutation class instead of every
+    schedule).  Equal to {!compute_enumerated} on every input
+    (property-tested); exponentially faster on traces with many
+    independent events — 68 million schedules collapse to a few
+    thousand representatives on the Theorem 1 programs.  [jobs]
+    (default [1]) splits the POR walk into sleep-set subtree tasks
+    under the packed engine (deterministically); the reachability pass
+    is sequential.
 
-    [?limit] has the same meaning as in {!compute}, applied to the
-    representative walk: the comparability summaries become sound
-    under-approximations and [truncated] is set when the walk was cut
-    short, while the happened-before bits and [feasible_count] stay
-    exact (they do not enumerate).  As everywhere, a [limit] keeps the
-    capped walk sequential.  [?stats] as in {!compute}. *)
+    [?limit] caps the representative walk: the comparability summaries
+    become sound under-approximations and [truncated] is set when the
+    walk was cut short, while the happened-before bits and
+    [feasible_count] stay exact (they do not enumerate).  As everywhere,
+    a [limit] keeps the capped walk sequential.  [?stats] as in
+    {!compute_enumerated}. *)
 
 val holds : t -> relation -> int -> int -> bool
 (** [holds t r a b]: does [a r b]?  All relations are irreflexive here:

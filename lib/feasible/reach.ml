@@ -240,6 +240,71 @@ let rec count_from t state =
 
 let schedule_count t = count_from t (initial_state t)
 
+(* [a] runs before [b] in some feasible schedule iff some reachable state
+   that can still complete has [a] done and [b] not.  On the way to such
+   a state, the state [a]'s own step enters is one too, so it suffices to
+   look at transitions: a step by [e] into a state that can complete puts
+   [e] before every event still pending there.  The counting DP visits
+   every transition once, so one pass yields the count and every bit.
+   It keeps its own table, so what the count memo holds cannot skip a
+   state, and a bit is set only once its target's count is final.  States
+   change in place ({!Enumerate.execute}/[undo]); the key is the pending
+   set, the event flags and the semaphore values, and only a first visit
+   allocates (its copy). *)
+let count_and_before t rel =
+  Counters.bump t.stats Counters.Reach_queries;
+  let st = Enumerate.make_search t.sk in
+  let rows = Array.init t.n (fun _ -> Bitset.create t.n) in
+  let pending = Bitset.create t.n in
+  Bitset.fill pending;
+  let pw = Bitset.num_words pending in
+  let nev = Array.length st.Enumerate.ev in
+  let key = Array.make (pw + words_for nev + Array.length st.Enumerate.sem) 0 in
+  let pack () =
+    for w = 0 to pw - 1 do
+      key.(w) <- Bitset.get_word pending w
+    done;
+    let off = pack_bools_into key pw st.Enumerate.ev in
+    Array.blit st.Enumerate.sem 0 key off (Array.length st.Enumerate.sem);
+    key
+  in
+  let seen = Wordtbl.create 1024 in
+  let rec go left =
+    if left = 0 then 1
+    else
+      match Wordtbl.find_opt seen (pack ()) with
+      | Some r ->
+          Counters.bump t.stats Counters.Reach_memo_hits;
+          r
+      | None ->
+          Counters.bump t.stats Counters.Reach_memo_misses;
+          poll t;
+          let k = Array.copy key in
+          let r = ref 0 in
+          let e = ref (Bitset.min_elt_from st.Enumerate.frontier 0) in
+          while !e >= 0 do
+            let ev = !e in
+            if Enumerate.sync_enabled st ev then begin
+              let token = Enumerate.execute st ev in
+              Bitset.remove pending ev;
+              let c = go (left - 1) in
+              if c > 0 then Bitset.union_into rows.(ev) pending;
+              Bitset.add pending ev;
+              Enumerate.undo st ev token;
+              r := saturating_add !r c
+            end;
+            e := Bitset.min_elt_from st.Enumerate.frontier (ev + 1)
+          done;
+          Wordtbl.add seen k !r;
+          !r
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iteri (fun a row -> Bitset.iter (fun b -> Rel.add rel a b) row) rows;
+      Counters.add t.stats Counters.Reach_tbl_probes (Wordtbl.probes seen);
+      Counters.add t.stats Counters.Reach_tbl_resizes (Wordtbl.resizes seen))
+    (fun () -> go t.n)
+
 let walk_reachable t visit =
   let seen = Wordtbl.create 1024 in
   let rec go state =

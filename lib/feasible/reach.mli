@@ -54,6 +54,19 @@ val schedule_count : t -> int
 val count_saturation : int
 (** Ceiling for {!schedule_count} ([10^18]). *)
 
+val count_and_before : t -> Rel.t -> int
+(** [count_and_before t rel] returns {!schedule_count} and adds to [rel]
+    every pair [(a, b)] with [exists_before t a b] — the whole
+    could-have-happened-before matrix from one pass over the reachable
+    states, where [n²] {!exists_before} calls would walk them once per
+    pair.  The rule: [a] can run before [b] iff some reachable state
+    that can still complete has [a] done and [b] not.  The pass keeps
+    its own state table, so the result never depends on what earlier
+    queries left in the memo tables; it counts one [Reach_queries], and
+    its table's memo hits and misses, probes and resizes.  On
+    {!Budget.Expired} the pairs already proved stay in [rel]: a sound
+    under-approximation. *)
+
 val reachable_state_count : t -> int
 
 val deadlock_reachable : t -> bool

@@ -341,7 +341,7 @@ type t = {
   mutable pending_por : consumer list;
   mutable full_stats : (int * bool) option;  (* schedules visited, truncated *)
   mutable por_stats : (int * bool) option;  (* representatives, truncated *)
-  mutable summary_memo : summary option;
+  mutable summary_full_memo : summary option;
   mutable summary_reduced_memo : summary option;
 }
 
@@ -374,7 +374,7 @@ let create ?limit ?(jobs = 1) ?stats ?(budget = Budget.unlimited)
     pending_por = [];
     full_stats = None;
     por_stats = None;
-    summary_memo = None;
+    summary_full_memo = None;
     summary_reduced_memo = None;
   }
 
@@ -844,70 +844,25 @@ let compute_summary_full t =
     incomparable_some = acc.incomparable;
   }
 
+(* The class-level summary, under every engine: the count and every
+   happened-before bit from one pass over the reachable states, the
+   comparability bits and class count from the POR pass. *)
 let compute_summary_reduced t =
   let n = t.sk.Skeleton.n in
   let c = t.c in
   let reach = reach t in
-  let parallel = t.jobs > 1 && t.engine = Engine.Packed in
   let before_some = Rel.create n in
-  (* Happened-before bits: n² reachability queries.  Parallel mode splits
-     the rows into one contiguous block per worker, each with its own
-     memoizing engine (the memo tables are not shared between domains);
-     blocks touch disjoint rows, so the union is trivially deterministic. *)
-  let fill_before reach rel lo hi =
-    for a = lo to hi do
-      for b = 0 to n - 1 do
-        if Reach.exists_before reach a b then Rel.add rel a b
-      done
-    done
+  (* A pass cut short keeps the bits it proved (a sound under-
+     approximation) but has no partial count: 0 is the only sound
+     under-count, and [truncated] below tells the reader it is one. *)
+  let feasible_count =
+    try
+      Counters.time c Counters.T_total (fun () ->
+          Counters.time c Counters.T_before (fun () ->
+              Reach.count_and_before reach before_some))
+    with Budget.Expired -> 0
   in
-  (* Under the SAT engine the happened-before bits come from assumption
-     probes on the shared compiled formula (each positive answer
-     replay-certified); class structure and counting below stay on the
-     enumeration engines either way. *)
-  let fill_before_sat rel =
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if a <> b && exists_before t a b then Rel.add rel a b
-      done
-    done
-  in
-  Counters.time c Counters.T_total (fun () ->
-      Counters.time c Counters.T_before (fun () ->
-          (* Expiry mid-fill leaves the rows already decided in place:
-             a sound under-approximation of the could-have-before bits. *)
-          if t.engine = Engine.Sat || t.engine = Engine.Auto then (
-            try fill_before_sat before_some with Budget.Expired -> ())
-          else if (not parallel) || n < 2 then (
-            try fill_before reach before_some 0 (n - 1)
-            with Budget.Expired -> ())
-          else begin
-            let k = min t.jobs n in
-            let ranges =
-              Array.init k (fun i ->
-                  let lo = i * n / k and hi = (((i + 1) * n) / k) - 1 in
-                  (lo, hi))
-            in
-            let parts =
-              Parallel.map ?telemetry:t.stats ~budget:t.budget ~jobs:t.jobs
-                (fun (lo, hi) ->
-                  let wc = worker_counters c in
-                  let rel = Rel.create n in
-                  let worker_reach =
-                    Reach.create ~stats:wc ~budget:t.budget t.sk
-                  in
-                  (try fill_before worker_reach rel lo hi
-                   with Budget.Expired -> ());
-                  Reach.stats_commit worker_reach;
-                  (rel, wc))
-                ranges
-            in
-            Array.iter
-              (fun (rel, wc) ->
-                Counters.merge_into ~dst:c wc;
-                Rel.union_into before_some rel)
-              parts
-          end));
+  Reach.stats_commit reach;
   (* Comparability bits and class count ride the POR pass (together with
      any other class folds registered on this session). *)
   let handle =
@@ -918,16 +873,6 @@ let compute_summary_reduced t =
     (match t.por_stats with Some (_, tr) -> tr | None -> false)
     || Budget.exhausted t.budget
   in
-  (* A DP count cut short has no partial value; 0 is the only sound
-     under-count, and [truncated] above tells the reader it is one. *)
-  let feasible_count =
-    try
-      Counters.time c Counters.T_total (fun () ->
-          Counters.time c Counters.T_count (fun () ->
-              Reach.schedule_count reach))
-    with Budget.Expired -> 0
-  in
-  Reach.stats_commit reach;
   {
     n;
     feasible_count;
@@ -962,15 +907,23 @@ let cached_summary t ~kind ~memo ~set_memo ~compute =
       set_memo s;
       s
 
-let summary t =
-  cached_summary t ~kind:"summary-full" ~memo:t.summary_memo
-    ~set_memo:(fun s -> t.summary_memo <- Some s)
+let summary_enumerated t =
+  cached_summary t ~kind:"summary-full" ~memo:t.summary_full_memo
+    ~set_memo:(fun s -> t.summary_full_memo <- Some s)
     ~compute:compute_summary_full
 
 let summary_reduced t =
   cached_summary t ~kind:"summary-reduced" ~memo:t.summary_reduced_memo
     ~set_memo:(fun s -> t.summary_reduced_memo <- Some s)
     ~compute:compute_summary_reduced
+
+(* Both summaries are the same record; the class-level one costs the
+   reachable state space instead of |F(P)|.  Enumeration stays where
+   only it will do: a [limit] caps the schedules it visits, and the
+   naive engine is the independent reference. *)
+let summary t =
+  if t.limit <> None || t.engine = Engine.Naive then summary_enumerated t
+  else summary_reduced t
 
 let schedule_count t =
   Counters.bump t.c Counters.Session_queries;

@@ -1,4 +1,4 @@
-(** Shared analysis sessions: enumerate [F(P)] once, answer every query.
+(** Shared analysis sessions: search once, answer every query.
 
     Every exact analysis in this repository — the six Table-1 relation
     matrices, per-pair decision procedures, race feasibility, the
@@ -37,7 +37,7 @@
     process-wide LRU behind them {e is} domain-safe: sessions living on
     different domains — the analysis server's worker pool — share it as
     cross-request state, so a hot program submitted by many clients is
-    enumerated once and served from memory after that.  Activity is
+    computed once and served from memory after that.  Activity is
     observable through the [session_*] / [cache_*] counters of
     {!Counters} when the session carries a {!Telemetry.t}. *)
 
@@ -279,16 +279,23 @@ type summary = {
     the counts. *)
 
 val summary : t -> summary
-(** The summary by full enumeration (the reference path) — served from
-    cache when possible, else computed as a {!fold_pinned} on this
-    session and stored. *)
+(** The summary the [relations] query answers: {!summary_reduced} —
+    the same record at the cost of the reachable state space — unless a
+    [limit] applies or the engine is [Naive], where it is
+    {!summary_enumerated}. *)
 
 val summary_reduced : t -> summary
-(** The summary the smart way: happened-before bits by shared-{!reach}
-    reachability, comparability bits and class count as a
-    {!fold_classes} over POR representatives, count by the counting DP.
-    Cached separately from {!summary} (a [limit] gives the two different
-    truncation behaviour). *)
+(** The class-level summary, under every engine: [feasible_count] and
+    every happened-before bit from one pass over the shared {!reach}
+    engine's reachable states ({!Reach.count_and_before}), comparability
+    bits and class count as a {!fold_classes} over POR representatives.
+    Served from cache when possible (kind [summary-reduced]), else
+    computed and stored. *)
+
+val summary_enumerated : t -> summary
+(** The summary by full enumeration of [F(P)] — the reference path:
+    a {!fold_pinned} on this session, cached under its own kind
+    ([summary-full]) since a [limit] truncates the two differently. *)
 
 val summary_outcome : t -> summary Budget.outcome
 (** {!summary} with truncation made explicit: [Bound_hit] whenever the

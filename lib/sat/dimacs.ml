@@ -19,13 +19,15 @@ let split_ws s =
 
 exception End_marker
 
+let fail fmt = Printf.ksprintf failwith fmt
+
 let parse text =
   let lines = String.split_on_char '\n' text in
   let header = ref None in
   let tokens = ref [] in
   (try
-     List.iter
-       (fun line ->
+     List.iteri
+       (fun i line ->
          let line = String.trim line in
          if line = "" || line.[0] = 'c' then ()
          else if line.[0] = '%' then
@@ -33,47 +35,45 @@ let parse text =
               it with a lone "0"); everything after it is ignored. *)
            raise End_marker
          else if line.[0] = 'p' then begin
-           if !header <> None then failwith "Dimacs.parse: duplicate header";
+           if !header <> None then fail "line %d: duplicate header" (i + 1);
            match split_ws line with
            | [ "p"; "cnf"; vars; clauses ] -> (
                match (int_of_string_opt vars, int_of_string_opt clauses) with
-               | Some v, Some c -> header := Some (v, c)
-               | _ -> failwith "Dimacs.parse: malformed header numbers")
-           | _ -> failwith "Dimacs.parse: malformed header line"
+               | Some v, Some c when v >= 0 && c >= 0 -> header := Some (v, c)
+               | _ -> fail "line %d: malformed header numbers" (i + 1))
+           | _ -> fail "line %d: malformed header line" (i + 1)
          end
          else
            split_ws line
            |> List.iter (fun tok ->
                   match int_of_string_opt tok with
-                  | Some i -> tokens := i :: !tokens
-                  | None -> failwith "Dimacs.parse: non-integer literal"))
+                  | Some l -> tokens := (i + 1, l) :: !tokens
+                  | None -> fail "line %d: non-integer literal %S" (i + 1) tok))
        lines
    with End_marker -> ());
   let num_vars, expected_clauses =
     match !header with
     | Some h -> h
-    | None -> failwith "Dimacs.parse: missing 'p cnf' header"
+    | None -> failwith "missing 'p cnf' header"
   in
   let clauses, current =
     List.fold_left
-      (fun (clauses, current) tok ->
-        if tok = 0 then (List.rev current :: clauses, [])
-        else (clauses, tok :: current))
+      (fun (clauses, current) (line, l) ->
+        if l = 0 then (List.rev current :: clauses, [])
+        else if l < -num_vars || l > num_vars then
+          fail "line %d: literal %d out of range (%d variables)" line l num_vars
+        else (clauses, l :: current))
       ([], [])
       (List.rev !tokens)
   in
-  if current <> [] then failwith "Dimacs.parse: clause missing terminating 0";
+  if current <> [] then failwith "clause missing terminating 0";
   let clauses = List.rev clauses in
   if List.length clauses <> expected_clauses then
-    failwith "Dimacs.parse: clause count disagrees with header";
+    fail "the header declares %d clauses, the file has %d" expected_clauses
+      (List.length clauses);
   Cnf.make ~num_vars clauses
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 let print ppf (f : Cnf.t) =
   Format.fprintf ppf "p cnf %d %d@." f.Cnf.num_vars (Cnf.num_clauses f);

@@ -123,7 +123,7 @@ let test_answers_match_legacy =
       let trace = Option.get (Gen_progs.completed_trace prog) in
       let x = Trace.to_execution trace in
       let sk = Skeleton.of_execution x in
-      let ref_full = Relations.compute sk in
+      let ref_full = Relations.compute_enumerated sk in
       let ref_reduced = Relations.compute_reduced sk in
       let ref_races = Race.feasible_races x in
       let ref_first = Gen_progs.first_races x in

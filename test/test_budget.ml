@@ -186,7 +186,7 @@ let test_budget_monotonic =
       let x = Option.get (small_execution prog) in
       let sk = Skeleton.of_execution x in
       let n = Execution.n_events x in
-      let ref_full = Relations.compute sk in
+      let ref_full = Relations.compute_enumerated sk in
       let ref_reduced = Relations.compute_reduced sk in
       let ref_decide = Decide.create x in
       List.iter

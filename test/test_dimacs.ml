@@ -46,6 +46,27 @@ let expect_failure name input =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected parse failure")
 
+(* Malformed input raises [Failure] and nothing else, with a message
+   that names the line: the CLI maps exactly [Failure] to a typed parse
+   error. *)
+let test_only_failure () =
+  List.iter
+    (fun (input, message) ->
+      match Dimacs.parse input with
+      | exception Failure m -> Alcotest.(check string) input message m
+      | exception e ->
+          Alcotest.failf "%S raised %s" input (Printexc.to_string e)
+      | _ -> Alcotest.failf "%S parsed" input)
+    [
+      ("p cnf 2 1\n1 x 0\n", "line 2: non-integer literal \"x\"");
+      ("p cnf 2 1\n3 0\n", "line 2: literal 3 out of range (2 variables)");
+      ("p cnf 2 1\n-3 0\n", "line 2: literal -3 out of range (2 variables)");
+      ( "p cnf 2 1\n-4611686018427387904 0\n",
+        "line 2: literal -4611686018427387904 out of range (2 variables)" );
+      ("p cnf -1 0\n", "line 1: malformed header numbers");
+      ("p cnf 2 2\n1 0\n", "the header declares 2 clauses, the file has 1");
+    ]
+
 let suite =
   [
     Alcotest.test_case "parse" `Quick test_parse;
@@ -59,4 +80,5 @@ let suite =
     expect_failure "wrong clause count" "p cnf 2 2\n1 0\n";
     expect_failure "duplicate header" "p cnf 1 0\np cnf 1 0\n";
     expect_failure "garbage token" "p cnf 1 1\none 0\n";
+    Alcotest.test_case "only Failure, naming the line" `Quick test_only_failure;
   ]

@@ -56,7 +56,7 @@ let test_task_graph_dot () =
 
 let test_relation_dot () =
   let x = Trace.to_execution (trace_of producer_consumer) in
-  let s = Relations.compute (Skeleton.of_execution x) in
+  let s = Relations.compute_enumerated (Skeleton.of_execution x) in
   let out =
     Format.asprintf "%a" Dot.relation (x, Relations.to_rel s Relations.MHB, "mhb")
   in

@@ -134,14 +134,14 @@ let prop_relations_all_engines =
       | None -> true
       | Some sk ->
           let naive =
-            with_engine Engine.Naive (fun () -> Relations.compute sk)
+            with_engine Engine.Naive (fun () -> Relations.compute_enumerated sk)
           in
           let naive_red =
             with_engine Engine.Naive (fun () -> Relations.compute_reduced sk)
           in
           with_engine Engine.Packed (fun () ->
-              let packed = Relations.compute sk in
-              let packed_jobs = Relations.compute ~jobs:2 sk in
+              let packed = Relations.compute_enumerated sk in
+              let packed_jobs = Relations.compute_enumerated ~jobs:2 sk in
               let red = Relations.compute_reduced sk in
               let red_jobs = Relations.compute_reduced ~jobs:2 sk in
               relations_equal naive packed

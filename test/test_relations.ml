@@ -4,7 +4,7 @@ let summary_of src =
   match Gen_progs.completed_trace (Parse.program src) with
   | Some t ->
       let sk = Skeleton.of_execution (Trace.to_execution t) in
-      (t, Relations.compute sk)
+      (t, Relations.compute_enumerated sk)
   | None -> Alcotest.fail "fixture program deadlocked"
 
 let producer_consumer =
@@ -58,7 +58,7 @@ let test_to_rel_consistency () =
 let test_limit_truncation () =
   let tr, _ = summary_of producer_consumer in
   let sk = Skeleton.of_execution (Trace.to_execution tr) in
-  let s = Relations.compute ~limit:2 sk in
+  let s = Relations.compute_enumerated ~limit:2 sk in
   Alcotest.(check bool) "truncated" true s.Relations.truncated;
   Alcotest.(check int) "capped" 2 s.Relations.feasible_count
 
@@ -79,7 +79,7 @@ let with_summary prog f =
       if Trace.n_events tr > 7 then true
       else
         let sk = Skeleton.of_execution (Trace.to_execution tr) in
-        f sk (Relations.compute sk)
+        f sk (Relations.compute_enumerated sk)
 
 let forall_pairs n f =
   let ok = ref true in

@@ -52,7 +52,7 @@ let test_session_matches_legacy =
       QCheck.assume (small_execution prog <> None);
       let x = Option.get (small_execution prog) in
       let sk = Skeleton.of_execution x in
-      let ref_full = Relations.compute sk in
+      let ref_full = Relations.compute_enumerated sk in
       let ref_reduced = Relations.compute_reduced sk in
       let ref_races = Race.feasible_races x in
       let ref_first = Gen_progs.first_races x in
@@ -116,7 +116,9 @@ let test_decide_on_session =
 
 let counter session_tel key = Counters.get (Telemetry.counters session_tel) key
 
-(* Warm-cache round trip: answers identical, zero enumeration. *)
+(* Warm-cache round trip: answers identical, zero search — no
+   enumeration, and no class walk or reachability pass (the summary
+   [relations] answers from without a limit). *)
 let warm_roundtrip name cache x =
   let sk = Skeleton.of_execution x in
   (* Cold: compute and store. *)
@@ -130,9 +132,12 @@ let warm_roundtrip name cache x =
   same_summary (name ^ " warm summary") cold_full (Relations.of_session warm);
   same_races (name ^ " warm races") cold_races
     (Race.feasible_races_session warm);
-  if counter tel Counters.Enum_nodes <> 0 then
-    QCheck.Test.fail_reportf "%s: warm session enumerated (%d nodes)" name
-      (counter tel Counters.Enum_nodes);
+  List.iter
+    (fun key ->
+      if counter tel key <> 0 then
+        QCheck.Test.fail_reportf "%s: warm session searched (%s %d)" name
+          (Counters.key_name key) (counter tel key))
+    [ Counters.Enum_nodes; Counters.Por_nodes; Counters.Reach_queries ];
   if counter tel Counters.Cache_misses <> 0 then
     QCheck.Test.fail_reportf "%s: warm session missed the cache" name
 
@@ -350,7 +355,7 @@ let test_corrupted_cache_fallback () =
 let test_budget_results_not_cached () =
   let x = fixture_execution () in
   let sk = Skeleton.of_execution x in
-  let reference = Relations.compute sk in
+  let reference = Relations.compute_enumerated sk in
   Session.clear_memory_cache ();
   let cache = { Session.memory = true; dir = None } in
   let budget = Budget.create ~node_budget:1 () in

@@ -67,8 +67,8 @@ let prop_compute_invariant =
       | Some sk ->
           let s1, s4 =
             check_invariant "compute" invariant_keys
-              (fun tel -> Relations.compute ~jobs:1 ~stats:tel sk)
-              (fun tel -> Relations.compute ~jobs:4 ~stats:tel sk)
+              (fun tel -> Relations.compute_enumerated ~jobs:1 ~stats:tel sk)
+              (fun tel -> Relations.compute_enumerated ~jobs:4 ~stats:tel sk)
           in
           summaries_equal s1 s4)
 
@@ -113,8 +113,8 @@ let prop_stats_do_not_perturb =
       | None -> true
       | Some sk ->
           let tel = Telemetry.create () in
-          summaries_equal (Relations.compute sk)
-            (Relations.compute ~stats:tel sk)
+          summaries_equal (Relations.compute_enumerated sk)
+            (Relations.compute_enumerated ~stats:tel sk)
           && summaries_equal
                (Relations.compute_reduced sk)
                (Relations.compute_reduced ~stats:tel sk))
@@ -163,8 +163,8 @@ let test_parallel_split_counters () =
   | Some tr ->
       let sk = Skeleton.of_execution (Trace.to_execution tr) in
       let t1 = Telemetry.create () and t4 = Telemetry.create () in
-      let s1 = Relations.compute ~jobs:1 ~stats:t1 sk in
-      let s4 = Relations.compute ~jobs:4 ~stats:t4 sk in
+      let s1 = Relations.compute_enumerated ~jobs:1 ~stats:t1 sk in
+      let s4 = Relations.compute_enumerated ~jobs:4 ~stats:t4 sk in
       Alcotest.(check bool) "same summary" true (summaries_equal s1 s4);
       Alcotest.(check (list int)) "invariant counters"
         (counts invariant_keys t1) (counts invariant_keys t4);

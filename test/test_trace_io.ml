@@ -61,8 +61,8 @@ let test_analysis_equivalence () =
   let t = Interp.run (Parse.program
     "sem s = 0\nproc a { x := 1; v(s) }\nproc b { p(s); y := x }") in
   let t' = Trace_io.of_string (Trace_io.to_string t) in
-  let s = Relations.compute (Skeleton.of_execution (Trace.to_execution t)) in
-  let s' = Relations.compute (Skeleton.of_execution (Trace.to_execution t')) in
+  let s = Relations.compute_enumerated (Skeleton.of_execution (Trace.to_execution t)) in
+  let s' = Relations.compute_enumerated (Skeleton.of_execution (Trace.to_execution t')) in
   List.iter
     (fun r ->
       Alcotest.(check bool)
@@ -298,7 +298,7 @@ let prop_readers_fail_typed =
           | Error m, Error m', Error m'' -> m = m' && m' = m''
           | Ok tr, Ok tr', Ok big ->
               let x = Trace.to_execution tr in
-              ignore (Relations.compute (Skeleton.of_execution x));
+              ignore (Relations.compute_enumerated (Skeleton.of_execution x));
               ignore (Triage.races_big big);
               tr'.Trace.events = tr.Trace.events
               && Rel.equal tr'.Trace.program_order tr.Trace.program_order
