@@ -1141,7 +1141,7 @@ let client_cmd =
           die_error ~json "cannot connect: %s" (Unix.error_message e)
     in
     let fd = connect retries in
-    let line = Jsonout.to_string request ^ "\n" in
+    let line = Jsonout.to_line request in
     let off = ref 0 in
     while !off < String.length line do
       off := !off + Unix.write_substring fd line !off (String.length line - !off)

@@ -405,9 +405,18 @@ let str s = Jsonout.Str s
 let int i = Jsonout.Int i
 let ints l = Jsonout.List (List.map int l)
 
-let json_of_rel rel =
-  Jsonout.List
-    (List.map (fun (a, b) -> Jsonout.List [ int a; int b ]) (Rel.to_pairs rel))
+(* The pairs in lexicographic order, consed from the last back; [ints]
+   holds one shared [Int] node per event. *)
+let json_of_rel ints rel =
+  let n = Rel.size rel in
+  let pairs = ref [] in
+  for a = n - 1 downto 0 do
+    for b = n - 1 downto 0 do
+      if Rel.mem rel a b then
+        pairs := Jsonout.List [ ints.(a); ints.(b) ] :: !pairs
+    done
+  done;
+  Jsonout.List !pairs
 
 let json_of_race (x : Execution.t) (r : Race.race) =
   let label e = str x.Execution.events.(e).Event.label in
@@ -447,10 +456,11 @@ let summary_fields (s : Relations.t) =
     ("distinct_classes", int s.Relations.distinct_classes);
   ]
 
-let relations_json s =
+let relations_json (s : Relations.t) =
+  let ints = Array.init s.Relations.n int in
   Jsonout.Obj
     (List.map
-       (fun rel -> (relation_key rel, json_of_rel (Relations.to_rel s rel)))
+       (fun rel -> (relation_key rel, json_of_rel ints (Relations.to_rel s rel)))
        Relations.all_relations)
 
 let result_json x { query; answer; timed_out } =
@@ -1010,20 +1020,17 @@ let request_of_json doc =
     collect_stats = Option.value ~default:false (bool_field fields "stats");
   }
 
-let request_op_of_line line =
-  match Jsonin.parse line with
-  | Error _ -> None
-  | Ok (Jsonout.Obj fields) -> (
+let request_op = function
+  | Jsonout.Obj fields -> (
       match List.assoc_opt "op" fields with
       | None -> Some Batch
       | Some (Jsonout.Str s) -> ( try Some (op_of_string s) with Error _ -> None)
       | Some _ -> None)
-  | Ok _ -> None
+  | _ -> None
 
-let request_id_of_line line =
-  match Jsonin.parse line with
-  | Ok (Jsonout.Obj fields) -> ( try id_of fields with Error _ -> None)
-  | Ok _ | Error _ -> None
+let request_id = function
+  | Jsonout.Obj fields -> ( try id_of fields with Error _ -> None)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Handling                                                            *)
@@ -1086,18 +1093,15 @@ let run_batch ?serialize config (req : request) =
   in
   reply ?telemetry:stats response
 
-let handle_line ?(allow_shutdown = false) ?extra_stats ?serialize config line =
+let handle_json ?(allow_shutdown = false) ?extra_stats ?serialize config
+    parsed =
   let fail ?id code msg = reply (error_doc ?id ~code msg) in
-  match Jsonin.parse line with
-  | Error msg -> fail Parse (Printf.sprintf "malformed request: %s" msg)
+  match parsed with
+  | Stdlib.Error msg -> fail Parse (Printf.sprintf "malformed request: %s" msg)
   | Ok doc -> (
       (* Recover the id before full validation so even a rejected
          request gets a correlatable error. *)
-      let id =
-        match doc with
-        | Jsonout.Obj fields -> ( try id_of fields with Error _ -> None)
-        | _ -> None
-      in
+      let id = request_id doc in
       let ok ?shutdown schema fields =
         reply ?shutdown (envelope schema ?id ~budget:Budget.unlimited fields)
       in
@@ -1119,3 +1123,6 @@ let handle_line ?(allow_shutdown = false) ?extra_stats ?serialize config line =
       (* Any other escape is a defect, not an input error: it still
          answers one document, and the domain that ran it lives on. *)
       | e -> fail ?id Internal ("internal error: " ^ Printexc.to_string e))
+
+let handle_line ?allow_shutdown ?extra_stats ?serialize config line =
+  handle_json ?allow_shutdown ?extra_stats ?serialize config (Jsonin.parse line)

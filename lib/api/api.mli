@@ -281,16 +281,16 @@ val request_of_json : Jsonout.t -> request
     ([Usage] for structural problems — the schema line itself must
     match). *)
 
-val request_op_of_line : string -> op option
-(** Cheap classification for a server's accept loop: [Some op] when the
-    line parses far enough to name its op (absent defaults to [Batch]),
-    [None] when it cannot — route [Some Batch] to the worker queue and
-    everything else inline, so control requests stay responsive while
-    the queue is saturated.  Never raises. *)
+val request_op : Jsonout.t -> op option
+(** Cheap classification of a parsed request line for a server's accept
+    loop: [Some op] when the document names its op (absent defaults to
+    [Batch]), [None] when it cannot — route [Some Batch] to the worker
+    queue and everything else inline, so control requests stay
+    responsive while the queue is saturated.  Never raises. *)
 
-val request_id_of_line : string -> Jsonout.t option
-(** Best-effort id recovery, for error responses produced without
-    running {!handle_line} (queue rejections).  Never raises. *)
+val request_id : Jsonout.t -> Jsonout.t option
+(** Best-effort id recovery from a parsed request, for error responses
+    produced without running it (queue rejections).  Never raises. *)
 
 type handled = {
   response : Jsonout.t;  (** exactly one document to write back *)
@@ -323,3 +323,15 @@ val handle_line :
     for the same program: the expensive answering runs inside the
     callback, so two clients racing on a cold program compute it once
     and the loser is served from the cache the winner filled. *)
+
+val handle_json :
+  ?allow_shutdown:bool ->
+  ?extra_stats:(unit -> (string * Jsonout.t) list) ->
+  ?serialize:(string -> (unit -> Jsonout.t) -> Jsonout.t) ->
+  config ->
+  (Jsonout.t, string) Stdlib.result ->
+  handled
+(** {!handle_line} on a line already parsed by {!Jsonin.parse} ([Error]
+    answers the parse error), so a server that classified the line with
+    {!request_op} does not parse it again.  [handle_line config line] is
+    [handle_json config (Jsonin.parse line)]. *)

@@ -17,14 +17,28 @@ let session t = t
 
 let stats_commit t = Reach.stats_commit (Session.reach t)
 
+(* Table 1's duality, where it is exact: [a CHB b] is the summary's
+   before-some bit and [a MHB b] is F(P) non-empty and not [b CHB a], so
+   a session already holding an exact class-level summary answers both
+   from it.  CCW and MOW stay on the ladder: with Clear present the
+   operational race test and class-level incomparability disagree. *)
+let from_summary t relation a b ladder =
+  match
+    Session.from_summary t (fun s ->
+        Relations.holds (Relations.of_summary s) relation a b)
+  with
+  | Some v -> Budget.Exact v
+  | None -> ladder t a b
+
 (* The composite relations combine outcomes so that a [Bound_hit]
    anywhere degrades the composition in its own sound direction
    (must → [true], could → [false]); the concurrency and ordering
    relations beyond CCW/MOW read the session's class-level summary. *)
 let holds_outcome t relation a b =
   match relation with
-  | Relations.MHB -> Session.must_before_outcome t a b
-  | Relations.CHB -> Session.exists_before_outcome t a b
+  | Relations.MHB when a = b -> Budget.Exact false
+  | Relations.MHB -> from_summary t relation a b Session.must_before_outcome
+  | Relations.CHB -> from_summary t relation a b Session.exists_before_outcome
   | Relations.CCW -> Session.exists_race_outcome t a b
   | Relations.MOW -> (
       if a = b then Budget.Exact false

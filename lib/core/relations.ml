@@ -60,18 +60,19 @@ let compute_reduced ?limit ?(jobs = 1) ?stats sk =
 let compute_enumerated ?limit ?(jobs = 1) ?stats sk =
   of_summary (Session.summary_enumerated (one_shot ?limit ~jobs ?stats sk))
 
+(* The must-relations need F(P) non-empty — but under a truncated pass
+   [feasible_count] may read 0 with feasible executions merely unvisited
+   (a budget can expire before the first schedule completes).  Treating
+   that 0 as "infeasible" would flip every must-relation to [false]: an
+   under-approximation, the unsound direction for must.  A truncated
+   pass therefore presumes feasibility, keeping must-answers
+   over-approximate as documented. *)
+let feasible_known t = t.feasible_count > 0 || t.truncated
+
 let holds t relation a b =
   if a = b then false
   else
-    (* The must-relations need F(P) non-empty — but under a truncated
-       pass [feasible_count] may read 0 with feasible executions merely
-       unvisited (a budget can expire before the first schedule
-       completes).  Treating that 0 as "infeasible" would flip every
-       must-relation to [false]: an under-approximation, the unsound
-       direction for must.  A truncated pass therefore presumes
-       feasibility, keeping must-answers over-approximate as
-       documented. *)
-    let feasible_known = t.feasible_count > 0 || t.truncated in
+    let feasible_known = feasible_known t in
     match relation with
     | CHB -> Rel.mem t.before_some a b
     | MHB -> feasible_known && not (Rel.mem t.before_some b a)
@@ -80,14 +81,20 @@ let holds t relation a b =
     | COW -> Rel.mem t.comparable_some a b
     | MCW -> feasible_known && not (Rel.mem t.comparable_some a b)
 
+(* [holds] a row at a time: each could-relation is its bit matrix off
+   the diagonal, each must-relation the complement of its dual's (MHB's
+   dual is CHB transposed) when F(P) is known non-empty, else empty. *)
 let to_rel t relation =
-  let r = Rel.create t.n in
-  for a = 0 to t.n - 1 do
-    for b = 0 to t.n - 1 do
-      if holds t relation a b then Rel.add r a b
-    done
-  done;
-  r
+  let must dual =
+    if feasible_known t then Rel.complement dual else Rel.create t.n
+  in
+  match relation with
+  | CHB -> Rel.irreflexive t.before_some
+  | MHB -> must (Rel.transpose t.before_some)
+  | CCW -> Rel.irreflexive t.incomparable_some
+  | MOW -> must t.incomparable_some
+  | COW -> Rel.irreflexive t.comparable_some
+  | MCW -> must t.comparable_some
 
 let short_name = function
   | MHB -> "MHB"

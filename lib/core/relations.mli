@@ -121,12 +121,15 @@ val compute_reduced :
 
 val holds : t -> relation -> int -> int -> bool
 (** [holds t r a b]: does [a r b]?  All relations are irreflexive here:
-    [holds t r a a = false].  When [F(P)] is empty every could-have
-    relation is empty and every must-have relation is vacuously full
-    (excluding the diagonal). *)
+    [holds t r a a = false].  When [F(P)] is known to be empty every
+    relation is empty: a must-have relation needs a feasible execution
+    (a truncated summary presumes one). *)
 
 val to_rel : t -> relation -> Rel.t
-(** The full relation as a pair matrix. *)
+(** The full relation as a pair matrix, equal to {!holds} at every pair
+    but built a row at a time from the summary's bit rows: a could-have
+    relation is its matrix off the diagonal, a must-have relation the
+    complement of its dual's (MHB of CHB transposed). *)
 
 val pp_matrix : Format.formatter -> t * relation * Event.t array -> unit
 (** Prints the relation as an event-by-event matrix with labels. *)

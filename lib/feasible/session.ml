@@ -430,12 +430,16 @@ let cache_enabled t = t.cache.memory || t.cache.dir <> None
    or limit or program mismatch = different key = miss — cached answers
    can never cross models. *)
 let entry_key t ~kind =
-  Printf.sprintf "%s.%s.%s.%s.%s" (Lazy.force t.key).Program_key.hash kind
-    (Engine.to_string t.engine)
-    (Memmodel.to_string t.sk.Skeleton.model)
-    (match t.limit with None -> "nolimit" | Some l -> string_of_int l)
+  String.concat "."
+    [
+      (Lazy.force t.key).Program_key.hash;
+      kind;
+      Engine.to_string t.engine;
+      Memmodel.to_string t.sk.Skeleton.model;
+      (match t.limit with None -> "nolimit" | Some l -> string_of_int l);
+    ]
 
-let cache_version = "eocache/1"
+let cache_version = "eocache/2"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -758,71 +762,139 @@ let merge_acc dst src =
     src.classes
 
 (* ------------------------------------------------------------------ *)
-(* Summary (de)serialization, in canonical coordinates. *)
+(* The summary payload (the format is documented at [encode_summary] in
+   the interface): bit [j] of word [w] of a row is canonical column
+   [w * Sys.int_size + j].  The checksum turns any one-byte change into
+   a rejection instead of other bits. *)
 
-let encode_rel buf to_canonical tag rel =
-  let pairs =
-    List.sort compare
-      (List.map (fun (a, b) -> (to_canonical.(a), to_canonical.(b))) (Rel.to_pairs rel))
-  in
-  Printf.bprintf buf "%s %d\n" tag (List.length pairs);
-  List.iter (fun (a, b) -> Printf.bprintf buf "%d %d\n" a b) pairs
+let checksum s len =
+  let h = ref 0x3bf29ce484222325 in
+  for i = 0 to len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h
 
-let encode_summary t s =
-  let tc = (Lazy.force t.key).Program_key.to_canonical in
+let encode_summary (key : Program_key.t) s =
+  let tc = key.Program_key.to_canonical and oc = key.Program_key.of_canonical in
+  let n = s.n in
+  let words = (n + Sys.int_size - 1) / Sys.int_size in
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "summary %d %d %b %d\n" s.n s.feasible_count s.truncated
-    s.distinct_classes;
-  encode_rel buf tc "before" s.before_some;
-  encode_rel buf tc "comparable" s.comparable_some;
-  encode_rel buf tc "incomparable" s.incomparable_some;
-  Buffer.contents buf
+  Printf.bprintf buf "%d %d %d %d\n" n s.feasible_count
+    (Bool.to_int s.truncated) s.distinct_classes;
+  let row = Array.make words 0 in
+  let rel r =
+    for ci = 0 to n - 1 do
+      Array.fill row 0 words 0;
+      Bitset.iter
+        (fun b ->
+          let cb = tc.(b) in
+          let w = cb / Sys.int_size in
+          row.(w) <- row.(w) lor (1 lsl (cb mod Sys.int_size)))
+        (Rel.successors r oc.(ci));
+      Array.iteri
+        (fun w x -> Printf.bprintf buf (if ci = 0 && w = 0 then "%x" else " %x") x)
+        row
+    done;
+    Buffer.add_char buf '\n'
+  in
+  rel s.before_some;
+  rel s.comparable_some;
+  rel s.incomparable_some;
+  let body = Buffer.contents buf in
+  Printf.sprintf "%s%x\n" body (checksum body (String.length body))
+
+let decimal_digit c = if c >= '0' && c <= '9' then Char.code c - 48 else -1
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | _ -> -1
 
 exception Malformed
 
-let decode_summary t payload =
-  let oc = (Lazy.force t.key).Program_key.of_canonical in
-  let lines = Array.of_list (String.split_on_char '\n' payload) in
-  let cursor = ref 0 in
-  let next () =
-    if !cursor >= Array.length lines then raise Malformed
-    else begin
-      let l = lines.(!cursor) in
-      incr cursor;
-      l
+let decode_summary (key : Program_key.t) payload =
+  let oc = key.Program_key.of_canonical in
+  let len = String.length payload in
+  let pos = ref 0 in
+  let expect c =
+    if !pos < len && String.unsafe_get payload !pos = c then incr pos
+    else raise Malformed
+  in
+  (* A non-empty run of digits, folded by [step] (which sees how many
+     came before). *)
+  let rec number digit step v k =
+    let d = if !pos < len then digit (String.unsafe_get payload !pos) else -1 in
+    if d >= 0 then begin
+      incr pos;
+      number digit step (step v d k) (k + 1)
     end
+    else if k = 0 then raise Malformed
+    else v
+  in
+  let decimal () =
+    number decimal_digit
+      (fun v d _ ->
+        if v > (max_int - d) / 10 then raise Malformed;
+        (v * 10) + d)
+      0 0
+  in
+  (* Sixteen hex digits hold a word when the first is at most 7; the
+     last shift carries it into the sign bit, as encoded. *)
+  let hex () =
+    number hex_digit
+      (fun v d k ->
+        if k = 16 || (k = 15 && v lsr 56 > 7) then raise Malformed;
+        (v lsl 4) lor d)
+      0 0
   in
   try
-    let n, feasible_count, truncated, distinct_classes =
-      Scanf.sscanf (next ()) "summary %d %d %B %d" (fun a b c d -> (a, b, c, d))
+    let n = decimal () in
+    if n <> Array.length oc then raise Malformed;
+    expect ' ';
+    let feasible_count = decimal () in
+    expect ' ';
+    let truncated =
+      match decimal () with 0 -> false | 1 -> true | _ -> raise Malformed
     in
-    if n <> Array.length oc then None
-    else begin
-      let decode_rel tag =
-        let count = Scanf.sscanf (next ()) "%s %d" (fun t c -> if t <> tag then raise Malformed else c) in
-        let rel = Rel.create n in
-        for _ = 1 to count do
-          let a, b = Scanf.sscanf (next ()) "%d %d" (fun a b -> (a, b)) in
-          if a < 0 || a >= n || b < 0 || b >= n then raise Malformed;
-          Rel.add rel oc.(a) oc.(b)
-        done;
-        rel
-      in
-      let before_some = decode_rel "before" in
-      let comparable_some = decode_rel "comparable" in
-      let incomparable_some = decode_rel "incomparable" in
-      Some
-        {
-          n;
-          feasible_count;
-          truncated;
-          distinct_classes;
-          before_some;
-          comparable_some;
-          incomparable_some;
-        }
-    end
-  with Malformed | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+    expect ' ';
+    let distinct_classes = decimal () in
+    expect '\n';
+    let words = (n + Sys.int_size - 1) / Sys.int_size in
+    let rel () =
+      let r = Rel.create n in
+      for ci = 0 to n - 1 do
+        for w = 0 to words - 1 do
+          if ci > 0 || w > 0 then expect ' ';
+          let x = hex () in
+          let base = w * Sys.int_size in
+          let width = min Sys.int_size (n - base) in
+          if width < Sys.int_size && x lsr width <> 0 then raise Malformed;
+          for j = 0 to width - 1 do
+            if (x lsr j) land 1 = 1 then Rel.add r oc.(ci) oc.(base + j)
+          done
+        done
+      done;
+      expect '\n';
+      r
+    in
+    let before_some = rel () in
+    let comparable_some = rel () in
+    let incomparable_some = rel () in
+    let body = !pos in
+    let sum = hex () in
+    expect '\n';
+    if !pos <> len || sum <> checksum payload body then raise Malformed;
+    Some
+      {
+        n;
+        feasible_count;
+        truncated;
+        distinct_classes;
+        before_some;
+        comparable_some;
+        incomparable_some;
+      }
+  with Malformed -> None
 
 (* ------------------------------------------------------------------ *)
 (* Cached whole-program summaries. *)
@@ -896,11 +968,11 @@ let cached_summary t ~kind ~memo ~set_memo ~compute =
   | Some s -> s
   | None ->
       let s =
-        match lookup_cached t ~kind ~decode:(decode_summary t) with
+        match lookup_cached t ~kind ~decode:(fun p -> decode_summary (key t) p) with
         | Some s -> s
         | None ->
             let s = compute t in
-            if cache_enabled t then store_cached t ~kind (encode_summary t s);
+            if cache_enabled t then store_cached t ~kind (encode_summary (key t) s);
             s
       in
       Counters.set t.c Counters.Classes s.distinct_classes;
@@ -987,6 +1059,17 @@ let summary_mark t s =
     Budget.Bound_hit s
   end
   else Budget.Exact s
+
+(* [Decide]'s MHB/CHB read: only a class-level summary the session
+   already holds, only an exact one, and never under the naive engine,
+   whose pairs stay on its own ladder so the reference stays
+   independent. *)
+let from_summary t f =
+  match t.summary_reduced_memo with
+  | Some s when (not s.truncated) && t.engine <> Engine.Naive ->
+      bump_model t;
+      Some (f s)
+  | Some _ | None -> None
 
 let summary_outcome t = summary_mark t (summary t)
 let summary_reduced_outcome t = summary_mark t (summary_reduced t)

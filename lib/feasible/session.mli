@@ -297,11 +297,37 @@ val summary_enumerated : t -> summary
     a {!fold_pinned} on this session, cached under its own kind
     ([summary-full]) since a [limit] truncates the two differently. *)
 
+val encode_summary : Program_key.t -> summary -> string
+(** The cache payload of a summary — the one format the memory LRU and
+    the disk tier both hold (under version [eocache/2]) — in the key's
+    canonical coordinates, so any renumbering of the program decodes it.
+    A header line [N COUNT TRUNCATED CLASSES] (decimal, [TRUNCATED] 0 or
+    1), then one line per relation (before-some, comparable-some,
+    incomparable-some): its [n] canonical rows, each as
+    [⌈n / Sys.int_size⌉] lowercase hex words, every word of the line
+    separated by one space; then an FNV-1a checksum of every byte before
+    it, in the same hex. *)
+
+val decode_summary : Program_key.t -> string -> summary option
+(** The inverse of {!encode_summary} under any key of the same program.
+    [None] on anything else — a bad digit, a number past [max_int], a
+    wrong row or word count, a bit at a column [>= n], a checksum
+    mismatch, trailing bytes; never raises.  A hand-rolled scanner:
+    no [Scanf], no line splitting. *)
+
 val summary_outcome : t -> summary Budget.outcome
 (** {!summary} with truncation made explicit: [Bound_hit] whenever the
     record's [truncated] flag is set — by [?limit] or by the budget. *)
 
 val summary_reduced_outcome : t -> summary Budget.outcome
+
+val from_summary : t -> (summary -> 'a) -> 'a option
+(** [from_summary t f] is [Some (f s)] when this session already holds
+    an exact class-level summary [s] — {!summary_reduced} ran on it, or
+    was served from cache, with [truncated = false] — and its engine is
+    not [Naive] (the reference keeps its pairs on its own ladder); the
+    read counts as one answer under the session's memory model, as a
+    per-pair query does.  [None] otherwise: nothing is computed. *)
 
 val cached_blob : t -> kind:string -> (unit -> string) -> string
 (** [cached_blob t ~kind produce] serves an arbitrary consumer-encoded

@@ -142,7 +142,14 @@ let decode_races key payload =
   match String.split_on_char '\n' payload with
   | [] -> None
   | header :: lines -> (
-      match Scanf.sscanf_opt header "races %d" (fun c -> c) with
+      let tag = "races " in
+      match
+        if String.starts_with ~prefix:tag header then
+          int_of_string_opt
+            (String.sub header (String.length tag)
+               (String.length header - String.length tag))
+        else None
+      with
       | None -> None
       | Some count -> (
           try

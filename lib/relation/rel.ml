@@ -89,6 +89,21 @@ let transpose r =
   iter (fun a b -> add t b a) r;
   t
 
+let complement r =
+  let c = create r.n in
+  Array.iteri
+    (fun a row ->
+      Bitset.fill row;
+      Bitset.diff_into row r.rows.(a);
+      Bitset.remove row a)
+    c.rows;
+  c
+
+let irreflexive r =
+  let c = copy r in
+  Array.iteri (fun a row -> Bitset.remove row a) c.rows;
+  c
+
 let is_irreflexive r =
   let ok = ref true in
   for a = 0 to r.n - 1 do

@@ -53,6 +53,13 @@ val pack : t -> int array
 val transpose : t -> t
 (** Inverse relation. *)
 
+val complement : t -> t
+(** The pairs [(a, b)], [a <> b], with [not (a r b)]: the complement
+    off the diagonal, a row at a time. *)
+
+val irreflexive : t -> t
+(** [r] without its diagonal pairs. *)
+
 val is_irreflexive : t -> bool
 
 val is_transitive : t -> bool

@@ -9,6 +9,39 @@ type config = {
   log : bool;
 }
 
+(* A request line this long is an attack or a bug, not an analysis. *)
+let max_line_bytes = 32 * 1024 * 1024
+
+(* Newline framing in linear time: the bytes of the line in progress
+   accumulate in one buffer, and each read is scanned once, for its own
+   newlines only. *)
+type framer = { line : Buffer.t; max_line : int }
+
+let framer ?(max_line = max_line_bytes) () =
+  { line = Buffer.create 256; max_line }
+
+let feed f bytes off len emit =
+  let stop = off + len in
+  let rec scan start i =
+    if i = stop then begin
+      Buffer.add_subbytes f.line bytes start (stop - start);
+      Buffer.length f.line <= f.max_line
+    end
+    else if Bytes.unsafe_get bytes i <> '\n' then scan start (i + 1)
+    else begin
+      Buffer.add_subbytes f.line bytes start (i - start);
+      Buffer.length f.line <= f.max_line
+      &&
+      let line = Buffer.contents f.line in
+      (* A long line gives its storage back. *)
+      if Buffer.length f.line > 65536 then Buffer.reset f.line
+      else Buffer.clear f.line;
+      emit line;
+      scan (i + 1) (i + 1)
+    end
+  in
+  scan off off
+
 (* One connected client.  Reads happen only on domain 0 (the select
    loop); writes happen from domain 0 (control responses, admission
    rejections) and from any worker (analysis responses), serialized by
@@ -16,14 +49,12 @@ type config = {
 type conn = {
   fd : Unix.file_descr;
   wm : Mutex.t;
-  mutable pending : string;  (** bytes read but not yet newline-framed *)
+  pending : framer;  (** bytes read but not yet newline-framed *)
   mutable broken : bool;  (** write failed; stop responding, close soon *)
 }
 
-type job = { line : string; peer : conn; enqueued : float }
-
-(* A request line this long is an attack or a bug, not an analysis. *)
-let max_line_bytes = 32 * 1024 * 1024
+(* An analysis request, parsed once on domain 0. *)
+type job = { request : Jsonout.t; peer : conn; enqueued : float }
 
 let write_all fd s =
   let n = String.length s in
@@ -38,7 +69,7 @@ let send conn doc =
     ~finally:(fun () -> Mutex.unlock conn.wm)
     (fun () ->
       if not conn.broken then
-        try write_all conn.fd (Jsonout.to_string doc ^ "\n")
+        try write_all conn.fd (Jsonout.to_line doc)
         with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
           conn.broken <- true)
 
@@ -180,7 +211,7 @@ let run cfg =
       in
       match job with
       | None -> ()
-      | Some { line; peer; enqueued } ->
+      | Some { request; peer; enqueued } ->
           let response =
             (* A request that out-waited the server's own deadline cap in
                the queue would only burn a worker to report "timeout";
@@ -192,12 +223,10 @@ let run cfg =
               | None -> false
             in
             if overdue then
-              Api.error_doc
-                ?id:(Api.request_id_of_line line)
-                ~code:Api.Timeout
+              Api.error_doc ?id:(Api.request_id request) ~code:Api.Timeout
                 "request deadline expired in the admission queue"
             else begin
-              let handled = Api.handle_line ~serialize cfg.api line in
+              let handled = Api.handle_json ~serialize cfg.api (Ok request) in
               note_telemetry handled.Api.telemetry;
               handled.Api.response
             end
@@ -214,8 +243,8 @@ let run cfg =
     Atomic.incr overloads;
     send peer (Api.error_doc ?id ~code msg)
   in
-  let admit peer line =
-    let id () = Api.request_id_of_line line in
+  let admit peer request =
+    let id () = Api.request_id request in
     let queue_full =
       Mutex.lock qm;
       let full = Queue.length queue >= cfg.max_queue in
@@ -237,21 +266,23 @@ let run cfg =
         "server is overloaded: memory watermark exceeded (--max-memory)"
     else begin
       Mutex.lock qm;
-      Queue.push { line; peer; enqueued = Unix.gettimeofday () } queue;
+      Queue.push { request; peer; enqueued = Unix.gettimeofday () } queue;
       Condition.signal qc;
       Mutex.unlock qm
     end
   in
 
   let handle_line peer line =
-    match Api.request_op_of_line line with
-    | Some Api.Batch -> admit peer line
-    | Some Api.Stats | Some Api.Ping | Some Api.Shutdown | None ->
+    let parsed = Jsonin.parse line in
+    match parsed with
+    | Ok request when Api.request_op request = Some Api.Batch ->
+        admit peer request
+    | Ok _ | Error _ ->
         (* Control requests (and anything too malformed to classify) are
            answered inline so they stay responsive while every worker
            and queue slot is busy. *)
         let handled =
-          Api.handle_line ~allow_shutdown:true ~extra_stats cfg.api line
+          Api.handle_json ~allow_shutdown:true ~extra_stats cfg.api parsed
         in
         send peer handled.Api.response;
         Atomic.incr served;
@@ -273,28 +304,19 @@ let run cfg =
     | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
         close_conn id conn
     | 0 -> close_conn id conn
-    | n -> (
-        conn.pending <- conn.pending ^ Bytes.sub_string buf 0 n;
-        if String.length conn.pending > max_line_bytes then begin
+    | n ->
+        (* Frame on newlines; the tail stays pending. *)
+        let framed =
+          feed conn.pending buf 0 n (fun line ->
+              let line = String.trim line in
+              if line <> "" then handle_line conn line)
+        in
+        if not framed then begin
           send conn
             (Api.error_doc ~code:Api.Parse
                (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
           close_conn id conn
         end
-        else
-          (* Frame on newlines; the tail stays pending. *)
-          match String.rindex_opt conn.pending '\n' with
-          | None -> ()
-          | Some last ->
-              let complete = String.sub conn.pending 0 last in
-              conn.pending <-
-                String.sub conn.pending (last + 1)
-                  (String.length conn.pending - last - 1);
-              List.iter
-                (fun line ->
-                  let line = String.trim line in
-                  if line <> "" then handle_line conn line)
-                (String.split_on_char '\n' complete))
   in
 
   (* Accept loop: one select over the listener and every connection.
@@ -320,7 +342,7 @@ let run cfg =
                       {
                         fd = client;
                         wm = Mutex.create ();
-                        pending = "";
+                        pending = framer ();
                         broken = false;
                       }
               end

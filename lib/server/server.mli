@@ -5,7 +5,7 @@
     [eventorder.request/1] document and each response line is exactly
     one [eventorder.response/1] / [eventorder.stats/1] /
     [eventorder.error/1] document (see docs/PROTOCOL.md).  All analysis
-    goes through {!Api.handle_line} — the same dispatcher the [batch]
+    goes through {!Api.handle_json} — the same dispatcher the [batch]
     subcommand uses — so the daemon answers bit-for-bit what the CLI
     answers.
 
@@ -49,3 +49,21 @@ type config = {
 val run : config -> unit
 (** Binds, serves, blocks until shutdown.  Raises [Unix.Unix_error] when
     the endpoint cannot be bound. *)
+
+(** {2 Request framing} *)
+
+type framer
+(** One connection's line in progress. *)
+
+val framer : ?max_line:int -> unit -> framer
+(** An empty framer refusing lines longer than [max_line] bytes (default
+    32 MiB, the daemon's cap). *)
+
+val feed : framer -> Bytes.t -> int -> int -> (string -> unit) -> bool
+(** [feed f bytes off len emit] appends the [len] bytes at [off] and
+    calls [emit] on every line they complete, in order, without its
+    ['\n']; the tail stays pending for the next call.  Only the new bytes
+    are scanned, so a long line costs linear time however it is split.
+    [false] as soon as a line, complete or pending, exceeds [max_line]
+    bytes (nothing past it is emitted; the connection is to be
+    refused). *)

@@ -432,7 +432,12 @@ let test_vocabularies () =
     Memmodel.to_string
 
 let test_op_classification () =
-  let classify line = Api.request_op_of_line line in
+  let parsed line = Result.get_ok (Jsonin.parse line) in
+  let classify line =
+    match Jsonin.parse line with
+    | Ok doc -> Api.request_op doc
+    | Error _ -> None
+  in
   Alcotest.(check bool)
     "batch routes to the queue" true
     (classify {|{"schema":"eventorder.request/1","op":"batch"}|}
@@ -448,9 +453,81 @@ let test_op_classification () =
     "garbage is unclassifiable" true
     (classify "{nope" = None);
   Alcotest.(check bool)
+    "a non-object is unclassifiable" true
+    (classify "[1]" = None);
+  Alcotest.(check bool)
     "id recovery survives bad requests" true
-    (Api.request_id_of_line {|{"id":41,"op":"frobnicate"}|}
-    = Some (Jsonout.Int 41))
+    (Api.request_id (parsed {|{"id":41,"op":"frobnicate"}|})
+    = Some (Jsonout.Int 41));
+  Alcotest.(check bool)
+    "an object id is not recovered" true
+    (Api.request_id (parsed {|{"id":{"a":1}}|}) = None)
+
+(* ---- request framing (the daemon's read side) ---- *)
+
+let frame ?max_line pieces =
+  let f = Server.framer ?max_line () in
+  let lines = ref [] in
+  let ok =
+    List.for_all
+      (fun piece ->
+        Server.feed f (Bytes.of_string piece) 0 (String.length piece)
+          (fun line -> lines := line :: !lines))
+      pieces
+  in
+  (ok, List.rev !lines)
+
+(* Any split of a byte stream frames the same lines: those the stream
+   completes, the tail left pending.  Each piece sits inside a larger
+   read buffer, as the daemon's reads do. *)
+let test_framing_any_split =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\n'; '{'; '\xff' ]) (int_bound 200)
+      >>= fun stream ->
+      list_size (int_bound 8) (int_bound (String.length stream))
+      >>= fun cuts -> return (stream, List.sort_uniq compare cuts))
+  in
+  QCheck.Test.make ~name:"framing: any split yields the same lines" ~count:500
+    (QCheck.make ~print:(fun (s, _) -> String.escaped s) gen)
+    (fun (stream, cuts) ->
+      let bounds = (0 :: cuts) @ [ String.length stream ] in
+      let rec pieces = function
+        | a :: (b :: _ as rest) -> String.sub stream a (b - a) :: pieces rest
+        | [ _ ] | [] -> []
+      in
+      let f = Server.framer () in
+      let lines = ref [] in
+      let junk = Bytes.make 300 'z' in
+      List.iter
+        (fun piece ->
+          let off = 7 in
+          Bytes.blit_string piece 0 junk off (String.length piece);
+          if
+            not
+              (Server.feed f junk off (String.length piece) (fun l ->
+                   lines := l :: !lines))
+          then QCheck.Test.fail_report "a short line was refused")
+        (pieces bounds);
+      let want =
+        match List.rev (String.split_on_char '\n' stream) with
+        | _pending :: complete -> List.rev complete
+        | [] -> []
+      in
+      List.rev !lines = want)
+
+let test_framing_cap () =
+  let check name want (ok, lines) =
+    Alcotest.(check (pair bool (list string))) name want (ok, lines)
+  in
+  let line k = String.make k 'x' in
+  check "a line at the cap passes" (true, [ line 10 ]) (frame ~max_line:10 [ line 10 ^ "\n" ]);
+  check "a complete line past the cap is refused" (false, [ "ok" ])
+    (frame ~max_line:10 [ "ok\n" ^ line 11 ^ "\nnext\n" ]);
+  check "a pending line past the cap is refused" (false, [])
+    (frame ~max_line:10 [ line 6; line 5 ]);
+  check "the pending tail is not a line" (true, [ "a"; "" ])
+    (frame ~max_line:10 [ "a\n\nb" ])
 
 let suite =
   [
@@ -463,6 +540,9 @@ let suite =
     Alcotest.test_case "error codes" `Quick test_error_codes;
     Alcotest.test_case "control ops" `Quick test_control_ops;
     Alcotest.test_case "op classification" `Quick test_op_classification;
+    qcheck test_framing_any_split;
+    Alcotest.test_case "framing refuses an oversized line" `Quick
+      test_framing_cap;
     Alcotest.test_case "request limit below 1" `Quick test_limit_below_one;
     Alcotest.test_case "internal errors" `Quick test_internal_error;
     Alcotest.test_case "engine and model vocabularies" `Quick test_vocabularies;

@@ -100,6 +100,71 @@ let test_jsonout_pretty () =
   (* Scalar-only lists stay on one line. *)
   Alcotest.(check bool) "inline scalar list" true (contains s "\"xs\": [1]")
 
+(* The writer against the one it replaced (Jsonout_ref), byte for byte,
+   compact and pretty: trees of every shape whose ints include the
+   extremes and whose strings and keys draw from all 256 bytes. *)
+let json_gen =
+  let open QCheck.Gen in
+  let any_string =
+    oneof
+      [
+        string_size ~gen:char (int_bound 12);
+        string_size ~gen:printable (int_bound 12);
+        return (String.init 256 Char.chr);
+      ]
+  in
+  let ints =
+    oneof
+      [
+        oneofl [ 0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1; max_int - 1 ];
+        small_signed_int;
+        int_range min_int max_int;
+      ]
+  in
+  let floats =
+    oneof
+      [
+        float;
+        map float_of_int small_signed_int;
+        oneofl [ 0.; -0.; 1e15; -1e15; 1.5; nan; infinity; neg_infinity ];
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let scalar =
+           oneof
+             [
+               return Jsonout.Null;
+               map (fun b -> Jsonout.Bool b) bool;
+               map (fun i -> Jsonout.Int i) ints;
+               map (fun f -> Jsonout.Float f) floats;
+               map (fun s -> Jsonout.Str s) any_string;
+             ]
+         in
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               ( 1,
+                 map
+                   (fun xs -> Jsonout.List xs)
+                   (list_size (int_bound 4) (self (n / 3))) );
+               ( 1,
+                 map
+                   (fun fs -> Jsonout.Obj fs)
+                   (list_size (int_bound 4) (pair any_string (self (n / 3)))) );
+             ])
+
+let test_writer_matches_reference =
+  QCheck.Test.make ~name:"jsonout = the reference writer, compact and pretty"
+    ~count:1000
+    (QCheck.make ~print:Jsonout_ref.to_string json_gen)
+    (fun v ->
+      Jsonout.to_string v = Jsonout_ref.to_string v
+      && Jsonout.to_line v = Jsonout_ref.to_string v ^ "\n"
+      && Jsonout.to_string_pretty v = Jsonout_ref.to_string_pretty v)
+
 let test_config_precedence () =
   Alcotest.(check int) "cli wins" 7
     (Config.resolve ~cli:(Some 7) ~env:(fun () -> 3));
@@ -297,6 +362,7 @@ let suite =
     Alcotest.test_case "JSON names distinct" `Quick test_key_names_distinct;
     Alcotest.test_case "jsonout compact" `Quick test_jsonout_compact;
     Alcotest.test_case "jsonout pretty" `Quick test_jsonout_pretty;
+    QCheck_alcotest.to_alcotest test_writer_matches_reference;
     Alcotest.test_case "config precedence" `Quick test_config_precedence;
     Alcotest.test_case "EO_JOBS rejects non-positive" `Quick
       test_jobs_of_string;

@@ -237,6 +237,27 @@ let test_key_renumbering =
       if counter tel Counters.Cache_memory_hits < 1 then
         QCheck.Test.fail_reportf
           "renumbered query did not hit the warmed cache";
+      (* The summary payload likewise: [y]'s relations are [x]'s pushed
+         through the permutation, served from the entry [x] stored. *)
+      let sum_x = Relations.of_session (Session.of_execution ~cache x) in
+      let tel = Telemetry.create () in
+      let sum_y =
+        Relations.of_session (Session.of_execution ~stats:tel ~cache y)
+      in
+      List.iter
+        (fun rel ->
+          let pushed =
+            List.sort compare
+              (List.map
+                 (fun (a, b) -> (perm.(a), perm.(b)))
+                 (rel_pairs sum_x rel))
+          in
+          if pushed <> rel_pairs sum_y rel then
+            QCheck.Test.fail_reportf "renumbered %s differs"
+              (Relations.relation_name rel))
+        Relations.all_relations;
+      if counter tel Counters.Reach_queries <> 0 then
+        QCheck.Test.fail_reportf "renumbered relations recomputed";
       Session.clear_memory_cache ();
       true)
 
@@ -301,43 +322,59 @@ let test_cache_two_writers () =
 
 (* 5. A corrupted cache payload must never crash or poison an answer:
    the decoder rejects it and the session recomputes from scratch. *)
+let cache_file dir kind =
+  match
+    Array.find_opt
+      (fun f ->
+        Filename.check_suffix f ".eocache"
+        && List.mem kind (String.split_on_char '.' f))
+      (Sys.readdir dir)
+  with
+  | Some f -> Filename.concat dir f
+  | None -> Alcotest.failf "no %s cache entry written" kind
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
+(* Keep the two header lines (version, entry key) and pass the payload
+   through [corrupt]: the version/key checks pass, so only the payload
+   decoder stands between the garbage and the answer. *)
+let corrupt_payload path corrupt =
+  let content = read_file path in
+  let after_headers =
+    let i = String.index content '\n' in
+    String.index_from content (i + 1) '\n' + 1
+  in
+  write_file path
+    (String.sub content 0 after_headers
+    ^ corrupt
+        (String.sub content after_headers
+           (String.length content - after_headers)))
+
 let test_corrupted_cache_fallback () =
   let x = fixture_execution () in
   let reference = Race.feasible_races x in
+  let summary_reference =
+    Relations.of_session (Session.of_execution ~cache:Session.no_cache x)
+  in
   let dir = temp_cache_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let cache = { Session.memory = false; dir = Some dir } in
-      same_races "cold" reference
-        (Race.feasible_races_session (Session.of_execution ~cache x));
-      let races_file =
-        match
-          Array.find_opt
-            (fun f -> String.length f > 0 && Filename.check_suffix f ".eocache"
-                      && String.split_on_char '.' f |> List.mem "races")
-            (Sys.readdir dir)
-        with
-        | Some f -> Filename.concat dir f
-        | None -> Alcotest.fail "no races cache entry written"
-      in
-      (* Keep the two header lines (version, entry key) and replace the
-         payload with garbage: the version/key checks pass, so only the
-         payload decoder stands between the garbage and the answer. *)
-      let ic = open_in_bin races_file in
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let after_headers =
-        let i = String.index content '\n' in
-        String.index_from content (i + 1) '\n' + 1
-      in
-      let oc = open_out_bin races_file in
-      output_string oc (String.sub content 0 after_headers);
-      output_string oc "3 0 1 not-a-variable-list \xff\xfe garbage";
-      close_out oc;
+      let cold = Session.of_execution ~cache x in
+      same_races "cold" reference (Race.feasible_races_session cold);
+      ignore (Relations.of_session cold : Relations.t);
+      corrupt_payload (cache_file dir "races") (fun _ ->
+          "3 0 1 not-a-variable-list \xff\xfe garbage");
       let tel = Telemetry.create () in
       let recovered =
         Race.feasible_races_session (Session.of_execution ~stats:tel ~cache x)
@@ -347,7 +384,81 @@ let test_corrupted_cache_fallback () =
          race decoder's job), so the real proof of recovery is the
          recomputation itself: the reachability engine must have run. *)
       Alcotest.(check bool) "fell back to a fresh computation" true
-        (counter tel Counters.Reach_queries > 0))
+        (counter tel Counters.Reach_queries > 0);
+      (* The summary entry: one hex digit of its first row changed keeps
+         the format valid, so only the checksum catches it. *)
+      let summary_file = cache_file dir "summary-reduced" in
+      corrupt_payload summary_file (fun payload ->
+          let i = String.index payload '\n' + 1 in
+          String.mapi
+            (fun j c -> if j <> i then c else if c = '0' then '1' else '0')
+            payload);
+      let tel = Telemetry.create () in
+      let recovered = Relations.of_session (Session.of_execution ~stats:tel ~cache x) in
+      same_summary "summary recomputed past the corruption" summary_reference
+        recovered;
+      Alcotest.(check int) "corrupt summary is a miss" 0
+        (counter tel Counters.Cache_disk_hits);
+      Alcotest.(check bool) "summary recomputed" true
+        (counter tel Counters.Reach_queries > 0);
+      (* The recomputation stored a sound entry again. *)
+      let tel = Telemetry.create () in
+      same_summary "served after the repair" summary_reference
+        (Relations.of_session (Session.of_execution ~stats:tel ~cache x));
+      Alcotest.(check int) "repaired entry hits" 1
+        (counter tel Counters.Cache_disk_hits))
+
+(* 5b. An entry written under the previous cache version — its summary
+   in the old pair-list payload — reads as a miss, and the recomputed
+   summary replaces it under the current version. *)
+let v1_summary_payload (key : Program_key.t) (s : Session.summary) =
+  let tc = key.Program_key.to_canonical in
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "summary %d %d %b %d\n" s.Session.n
+    s.Session.feasible_count s.Session.truncated s.Session.distinct_classes;
+  List.iter
+    (fun (tag, rel) ->
+      let pairs =
+        List.sort compare
+          (List.map (fun (a, b) -> (tc.(a), tc.(b))) (Rel.to_pairs rel))
+      in
+      Printf.bprintf buf "%s %d\n" tag (List.length pairs);
+      List.iter (fun (a, b) -> Printf.bprintf buf "%d %d\n" a b) pairs)
+    [
+      ("before", s.Session.before_some);
+      ("comparable", s.Session.comparable_some);
+      ("incomparable", s.Session.incomparable_some);
+    ];
+  Buffer.contents buf
+
+let test_old_cache_version_is_a_miss () =
+  with_engine Engine.Packed @@ fun () ->
+  with_model Memmodel.Sc @@ fun () ->
+  let x = fixture_execution () in
+  let key = Program_key.of_execution x in
+  let fresh = Session.summary_reduced (Session.of_execution x) in
+  let dir = temp_cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let ek =
+        String.concat "."
+          [ Program_key.hash key; "summary-reduced"; "packed"; "sc"; "nolimit" ]
+      in
+      let path = Filename.concat dir (ek ^ ".eocache") in
+      write_file path
+        ("eocache/1\n" ^ ek ^ "\n" ^ v1_summary_payload key fresh);
+      let cache = { Session.memory = false; dir = Some dir } in
+      let tel = Telemetry.create () in
+      let got = Relations.of_session (Session.of_execution ~stats:tel ~cache x) in
+      same_summary "past the old entry" (Relations.of_summary fresh) got;
+      Alcotest.(check int) "old version is no hit" 0
+        (counter tel Counters.Cache_disk_hits);
+      Alcotest.(check int) "old version is a miss" 1
+        (counter tel Counters.Cache_misses);
+      Alcotest.(check string) "rewritten under the current version"
+        ("eocache/2\n" ^ ek ^ "\n" ^ Session.encode_summary key fresh)
+        (read_file path))
 
 (* 6. Budget-truncated results must never be cached: a later unbudgeted
    session over the same program would otherwise be served the partial
@@ -435,6 +546,151 @@ let test_session_keeps_its_switches () =
       Alcotest.(check (list int)) (name "counters") counters counters')
     [ 1; 2 ]
 
+(* ---- the summary payload ---- *)
+
+let shuffle st a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let key_of to_canonical =
+  let of_canonical = Array.make (Array.length to_canonical) 0 in
+  Array.iteri (fun i c -> of_canonical.(c) <- i) to_canonical;
+  { Program_key.hash = "k"; to_canonical; of_canonical }
+
+let random_rel st n =
+  let density = Random.State.float st 1. in
+  let r = Rel.create n in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if Random.State.float st 1. < density then Rel.add r a b
+    done
+  done;
+  r
+
+(* A summary on [n] events under a random numbering [kx] of some
+   program, and a renumbering [perm] of it: event [i] under [kx] is
+   event [perm.(i)] under [ky], so both keys send it to one canonical
+   index.  Past 62 events some row carries canonical column 62, the top
+   bit of its first word. *)
+type payload_case = {
+  summary : Session.summary;
+  kx : Program_key.t;
+  ky : Program_key.t;
+  perm : int array;
+}
+
+let payload_case_gen n_gen st =
+  let n = n_gen st in
+  let canon = shuffle st (Array.init n Fun.id) in
+  let perm = shuffle st (Array.init n Fun.id) in
+  let ky_canon = Array.make n 0 in
+  Array.iteri (fun i c -> ky_canon.(perm.(i)) <- c) canon;
+  let kx = key_of canon in
+  let before_some = random_rel st n in
+  if n > 62 then Rel.add before_some (Random.State.int st n) kx.Program_key.of_canonical.(62);
+  let summary =
+    {
+      Session.n;
+      feasible_count =
+        (if Random.State.bool st then Random.State.int st 1000
+         else Random.State.bits st * Random.State.bits st);
+      truncated = Random.State.bool st;
+      distinct_classes = Random.State.int st 100_000;
+      before_some;
+      comparable_some = random_rel st n;
+      incomparable_some = random_rel st n;
+    }
+  in
+  { summary; kx; ky = key_of ky_canon; perm }
+
+let print_payload_case c =
+  Printf.sprintf "n = %d\n%s" c.summary.Session.n
+    (Session.encode_summary c.kx c.summary)
+
+let same_bits (a : Session.summary) (b : Session.summary) =
+  a.Session.n = b.Session.n
+  && a.Session.feasible_count = b.Session.feasible_count
+  && a.Session.truncated = b.Session.truncated
+  && a.Session.distinct_classes = b.Session.distinct_classes
+  && Rel.equal a.Session.before_some b.Session.before_some
+  && Rel.equal a.Session.comparable_some b.Session.comparable_some
+  && Rel.equal a.Session.incomparable_some b.Session.incomparable_some
+
+let renumber perm (s : Session.summary) =
+  let push r =
+    let out = Rel.create s.Session.n in
+    Rel.iter (fun a b -> Rel.add out perm.(a) perm.(b)) r;
+    out
+  in
+  {
+    s with
+    Session.before_some = push s.Session.before_some;
+    comparable_some = push s.Session.comparable_some;
+    incomparable_some = push s.Session.incomparable_some;
+  }
+
+let payload_roundtrip name n_gen =
+  QCheck.Test.make ~name ~count:100
+    (QCheck.make ~print:print_payload_case (payload_case_gen n_gen))
+    (fun c ->
+      let payload = Session.encode_summary c.kx c.summary in
+      (match Session.decode_summary c.kx payload with
+      | Some s when same_bits s c.summary -> ()
+      | Some _ -> QCheck.Test.fail_report "same numbering: other bits"
+      | None -> QCheck.Test.fail_report "same numbering: rejected");
+      match Session.decode_summary c.ky payload with
+      | Some s -> same_bits s (renumber c.perm c.summary)
+      | None -> QCheck.Test.fail_report "renumbered: rejected")
+
+let test_payload_roundtrip_small =
+  payload_roundtrip "summary payload round trip, renumbered, n <= 12"
+    (fun st -> Random.State.int st 13)
+
+let test_payload_roundtrip_wide =
+  payload_roundtrip
+    "summary payload round trip, renumbered, 64-130 events (several words)"
+    (fun st -> 64 + Random.State.int st 67)
+
+(* Any one-byte change — a substitution, an insertion, a deletion — or a
+   cut decodes to nothing or to the very summary encoded, and never
+   raises. *)
+let test_payload_mutations =
+  let gen st =
+    let c =
+      payload_case_gen
+        (fun st ->
+          if Random.State.int st 4 = 0 then 62 + Random.State.int st 6
+          else Random.State.int st 13)
+        st
+    in
+    let payload = Session.encode_summary c.kx c.summary in
+    let len = String.length payload in
+    let at = Random.State.int st len in
+    let byte = String.make 1 (Char.chr (Random.State.int st 256)) in
+    let mutated =
+      match Random.State.int st 4 with
+      | 0 ->
+          String.sub payload 0 at ^ byte
+          ^ String.sub payload (at + 1) (len - at - 1)
+      | 1 -> String.sub payload 0 at ^ byte ^ String.sub payload at (len - at)
+      | 2 -> String.sub payload 0 at ^ String.sub payload (at + 1) (len - at - 1)
+      | _ -> String.sub payload 0 at
+    in
+    (c, mutated)
+  in
+  QCheck.Test.make ~name:"summary payload: byte mutations never decode wrong"
+    ~count:1000
+    (QCheck.make ~print:(fun (c, m) -> print_payload_case c ^ "\nmutated:\n" ^ String.escaped m) gen)
+    (fun (c, mutated) ->
+      match Session.decode_summary c.kx mutated with
+      | None -> true
+      | Some s -> same_bits s c.summary)
+
 let suite =
   [
     qcheck test_session_matches_legacy;
@@ -447,6 +703,11 @@ let suite =
       test_cache_two_writers;
     Alcotest.test_case "corrupted cache entry falls back" `Quick
       test_corrupted_cache_fallback;
+    Alcotest.test_case "an eocache/1 entry is a miss, rewritten" `Quick
+      test_old_cache_version_is_a_miss;
+    qcheck test_payload_roundtrip_small;
+    qcheck test_payload_roundtrip_wide;
+    qcheck test_payload_mutations;
     Alcotest.test_case "budget-truncated results are not cached" `Quick
       test_budget_results_not_cached;
     Alcotest.test_case "a session keeps its engine and model" `Quick

@@ -270,6 +270,216 @@ let test_enumerates_only_when_needed () =
   check "naive reduced" false
     (enum_nodes Engine.Naive Relations.of_session_reduced)
 
+(* (e) [to_rel] builds each matrix a row at a time; it must be [holds]
+   at every pair, on exact and on budget-truncated summaries alike. *)
+let prop_to_rel_is_holds =
+  QCheck.Test.make ~name:"to_rel = holds at every pair" ~count:150
+    arbitrary_case (fun c ->
+      forall_case c @@ fun sk ->
+      let n = sk.Skeleton.n in
+      let starved =
+        Relations.of_session
+          (Session.create
+             ~budget:(Budget.create ~node_budget:1 ())
+             ~cache:Session.no_cache sk)
+      in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun rel ->
+              let m = Relations.to_rel s rel in
+              for a = 0 to n - 1 do
+                for b = 0 to n - 1 do
+                  if Rel.mem m a b <> Relations.holds s rel a b then
+                    QCheck.Test.fail_reportf "%s at (%d,%d)"
+                      (Relations.relation_name rel) a b
+                done
+              done)
+            Relations.all_relations)
+        [ reference sk; starved ];
+      true)
+
+(* The counters a per-pair query spends climbing a ladder. *)
+let ladder_keys =
+  Counters.
+    [
+      Reach_queries;
+      Encoder_clauses;
+      Triage_approx_hits;
+      Triage_reach_hits;
+      Triage_sat_hits;
+      Triage_enum_hits;
+    ]
+
+let pair_relations = [ Relations.MHB; Relations.CHB ]
+
+(* (f) A session that answered [relations] reads MHB and CHB off the
+   exact summary it holds: the answers of a fresh session's ladder, no
+   ladder climbed, each answer still counted under its model. *)
+let check_pairs_from_summary sk engine jobs =
+  with_engine engine @@ fun () ->
+  let n = sk.Skeleton.n in
+  let name =
+    Printf.sprintf "%s/%s/jobs=%d" (Engine.to_string engine)
+      (Memmodel.to_string sk.Skeleton.model) jobs
+  in
+  let fresh =
+    Decide.of_session (Session.create ~jobs ~cache:Session.no_cache sk)
+  in
+  let tel = Telemetry.create () in
+  let session = Session.create ~jobs ~stats:tel ~cache:Session.no_cache sk in
+  let d = Decide.of_session session in
+  ignore (Relations.of_session session : Relations.t);
+  let climbed = List.map (counter tel) ladder_keys in
+  let model_key = Memmodel.counter_key sk.Skeleton.model in
+  let answered = counter tel model_key in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      List.iter
+        (fun rel ->
+          if Decide.holds d rel a b <> Decide.holds fresh rel a b then
+            QCheck.Test.fail_reportf "%s: %s differs at (%d,%d)" name
+              (Relations.relation_name rel) a b)
+        pair_relations
+    done
+  done;
+  if List.map (counter tel) ladder_keys <> climbed then
+    QCheck.Test.fail_reportf "%s: a pair climbed the ladder" name;
+  (* CHB counts every pair, MHB all but the diagonal. *)
+  if counter tel model_key - answered <> (n * n) + (n * (n - 1)) then
+    QCheck.Test.fail_reportf "%s: %d model queries for %d events" name
+      (counter tel model_key - answered)
+      n
+
+(* The case's program under every model, engine and job count. *)
+let prop_pairs_from_summary =
+  QCheck.Test.make
+    ~name:
+      "mhb/chb after relations = fresh session (packed, sat, auto x sc, tso, \
+       pso x jobs 1, 2)"
+    ~count:40 arbitrary_case (fun c ->
+      List.iter
+        (fun model ->
+          forall_case { c with model } @@ fun sk ->
+          List.iter
+            (fun engine ->
+              List.iter (check_pairs_from_summary sk engine) [ 1; 2 ])
+            [ Engine.Packed; Engine.Sat; Engine.Auto ])
+        Memmodel.all;
+      true)
+
+(* (g) A truncated summary — cut by the budget or by a limit — is never
+   read: the pairs stay on the ladder and stay sound. *)
+let prop_truncated_summary_unused =
+  QCheck.Test.make ~name:"a truncated summary answers no pair" ~count:60
+    arbitrary_case (fun c ->
+      forall_case c @@ fun sk ->
+      let want = reference sk in
+      let n = sk.Skeleton.n in
+      List.iter
+        (fun engine ->
+          with_engine engine @@ fun () ->
+          List.iter
+            (fun (make, summary) ->
+              let session = make () in
+              let d = Decide.of_session session in
+              let s : Relations.t = summary session in
+              let held = Session.from_summary session Fun.id <> None in
+              if s.Relations.truncated && held then
+                QCheck.Test.fail_reportf "%s: truncated summary in hand"
+                  (Engine.to_string engine);
+              for a = 0 to n - 1 do
+                for b = 0 to n - 1 do
+                  List.iter
+                    (fun rel ->
+                      match Decide.holds_outcome d rel a b with
+                      | Budget.Exact v when v <> Relations.holds want rel a b ->
+                          QCheck.Test.fail_reportf "%s: %s wrong at (%d,%d)"
+                            (Engine.to_string engine)
+                            (Relations.relation_name rel) a b
+                      | Budget.Exact _ | Budget.Bound_hit _ -> ())
+                    pair_relations
+                done
+              done)
+            [
+              ( (fun () ->
+                  Session.create
+                    ~budget:(Budget.create ~node_budget:1 ())
+                    ~cache:Session.no_cache sk),
+                Relations.of_session );
+              ( (fun () -> Session.create ~limit:1 ~cache:Session.no_cache sk),
+                Relations.of_session_reduced );
+            ])
+        [ Engine.Packed; Engine.Sat; Engine.Auto ];
+      true)
+
+let skeleton_of_source src =
+  match Gen_progs.completed_trace (Parse.program src) with
+  | Some t -> Skeleton.of_execution (Trace.to_execution t)
+  | None -> Alcotest.fail "fixture deadlocked"
+
+(* (h) The naive reference never reads a summary for a pair, whichever
+   summaries its session holds. *)
+let test_naive_keeps_its_ladder () =
+  with_engine Engine.Naive @@ fun () ->
+  let sk = skeleton_of_source pipeline in
+  let tel = Telemetry.create () in
+  let session = Session.create ~stats:tel ~cache:Session.no_cache sk in
+  let d = Decide.of_session session in
+  let want = Relations.of_session session in
+  ignore (Relations.of_session_reduced session : Relations.t);
+  Alcotest.(check bool) "no summary in hand" true
+    (Session.from_summary session Fun.id = None);
+  let asked = counter tel Counters.Reach_queries in
+  List.iter
+    (fun rel ->
+      Alcotest.(check bool)
+        (Relations.relation_name rel)
+        (Relations.holds want rel 0 4)
+        (Decide.holds d rel 0 4))
+    pair_relations;
+  Alcotest.(check int) "both pairs on the ladder" (asked + 2)
+    (counter tel Counters.Reach_queries)
+
+(* (i) Why CCW and MOW stay on the ladder: with Clear present the
+   class-level incomparability and the operational race test disagree.
+   Here Wait(e0) must run before Clear(e0) — the other order leaves the
+   wait stuck for good — so no context runs them in both orders, yet
+   their pinned orders leave them incomparable. *)
+let clear_program =
+  "sem s0 = 0\n\
+   event e0 = set\n\
+   proc p0 { x1 := (x0 + 1); wait(e0) }\n\
+   proc p1 { x0 := (x1 + 1); clear(e0) }\n\
+   proc p2 { x0 := (x1 + 1) }"
+
+let test_clear_ccw_stays_on_ladder () =
+  let sk = skeleton_of_source clear_program in
+  let x = sk.Skeleton.execution in
+  let id label =
+    match
+      Array.find_opt
+        (fun e -> e.Event.label = label)
+        x.Execution.events
+    with
+    | Some e -> e.Event.id
+    | None -> Alcotest.failf "no event %s" label
+  in
+  let wait = id "Wait(e0)" and clear = id "Clear(e0)" in
+  let session = Session.create ~cache:Session.no_cache sk in
+  let d = Decide.of_session session in
+  let summary = Relations.of_session session in
+  Alcotest.(check bool) "summary: CCW by incomparability" true
+    (Relations.holds summary Relations.CCW wait clear);
+  Alcotest.(check bool) "ladder: no race" false
+    (Session.exists_race session wait clear);
+  Alcotest.(check bool) "CCW after relations is the ladder's" false
+    (Decide.holds d Relations.CCW wait clear);
+  Alcotest.(check bool) "MOW after relations is the ladder's" true
+    (Decide.holds d Relations.MOW wait clear);
+  Alcotest.(check bool) "MHB agrees either way" true
+    (Decide.holds d Relations.MHB wait clear)
+
 let suite =
   [
     qcheck prop_one_pass;
@@ -278,4 +488,11 @@ let suite =
     qcheck prop_starved_budget;
     Alcotest.test_case "relations enumerates only under a limit or naive"
       `Quick test_enumerates_only_when_needed;
+    qcheck prop_to_rel_is_holds;
+    qcheck prop_pairs_from_summary;
+    qcheck prop_truncated_summary_unused;
+    Alcotest.test_case "naive answers no pair from a summary" `Quick
+      test_naive_keeps_its_ladder;
+    Alcotest.test_case "with Clear, CCW and MOW stay on the ladder" `Quick
+      test_clear_ccw_stays_on_ladder;
   ]
